@@ -34,6 +34,13 @@ EXIT_INPUT = 2
 REGISTER_ENV = "SPW_REGISTER"
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got '{text}'")
+    return int(text)
+
+
 def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=[f.value for f in ReportFormat],
@@ -41,7 +48,7 @@ def _common_options() -> argparse.ArgumentParser:
                         help="report output format (default: md)")
     common.add_argument("--out", metavar="PATH",
                         help="write the report to PATH instead of stdout")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_seed, default=None,
                         help="override the scenario's Monte Carlo seed")
     return common
 

@@ -17,6 +17,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -32,8 +33,6 @@ from .errors import (
     VectorScoreMismatchError,
 )
 from .taxonomy import MissionFunction, Stride, Subsystem
-
-SCHEMA_VERSION = "1"
 
 COLUMNS = (
     "id", "title", "subsystem", "stride", "attack_techniques", "cvss_vector",
@@ -75,12 +74,13 @@ class Register:
     """An ordered, validated collection of entries.
 
     Immutable by convention after load; safe to share across tasks.
-    ``source_path`` is provenance only and excluded from equality.
+    ``get`` looks ids up in an index built on its first call, so
+    ``entries`` must not be mutated after that. ``source_path`` is
+    provenance only and excluded from equality.
     """
 
     entries: list[VulnerabilityEntry]
     source_path: str = field(default="", compare=False)
-    schema_version: str = SCHEMA_VERSION
 
     def __len__(self):
         return len(self.entries)
@@ -89,9 +89,10 @@ class Register:
         return iter(self.entries)
 
     def get(self, entry_id: str) -> VulnerabilityEntry | None:
-        return self._by_id().get(entry_id)
+        return self._index.get(entry_id)
 
-    def _by_id(self) -> dict[str, VulnerabilityEntry]:
+    @cached_property
+    def _index(self) -> dict[str, VulnerabilityEntry]:
         return {e.id: e for e in self.entries}
 
     def ids(self) -> list[str]:
@@ -244,11 +245,6 @@ def load_bundled_register() -> Register:
     """Load the register shipped with the package."""
     text = (resources.files("spwkit") / "data" / BUNDLED_REGISTER).read_text(encoding="utf-8")
     return loads(text, source=f"bundled:{BUNDLED_REGISTER}")
-
-
-def bundled_register_path() -> Path:
-    """Filesystem path of the bundled register (regular installs)."""
-    return Path(str(resources.files("spwkit") / "data" / BUNDLED_REGISTER))
 
 
 def _entry_row(e: VulnerabilityEntry) -> list[str]:

@@ -43,6 +43,7 @@ different studies.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -56,7 +57,7 @@ from .errors import (
     UnknownBaselineError,
     UnresolvedVulnIdError,
 )
-from .register import Register, load_register
+from .register import Register, VulnerabilityEntry, load_register
 from .spw import (
     PowerComponent,
     PowerEstimate,
@@ -187,33 +188,32 @@ class ComparisonReport:
         raise KeyError(name)
 
 
-def _require(mapping: dict, key: str, kind, where: str):
+def _typed(value, kind: type, key: str, where: str):
+    """``value`` checked as ``kind``; numbers must be finite, and integral
+    where ``kind`` is ``int``."""
+    if kind not in (int, float):
+        if not isinstance(value, kind):
+            raise SchemaViolationError(f"{where}: '{key}' must be {kind.__name__}")
+        return value
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaViolationError(f"{where}: '{key}' must be a number")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints too big for float
+        raise SchemaViolationError(f"{where}: '{key}' must be a finite number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise SchemaViolationError(f"{where}: '{key}' must be an integer, got {value}")
+    return kind(value)
+
+
+def _require(mapping: dict, key: str, kind: type, where: str):
     if key not in mapping:
         raise SchemaViolationError(f"{where}: missing key '{key}'")
-    value = mapping[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaViolationError(f"{where}: '{key}' must be a number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise SchemaViolationError(f"{where}: '{key}' must be {kind.__name__}")
-    return value
+    return _typed(mapping[key], kind, key, where)
 
 
 def _optional(mapping: dict, key: str, default, where: str):
     if key not in mapping:
         return default
-    if isinstance(default, bool):
-        raise TypeError("booleans unsupported here")
-    if isinstance(default, float) or isinstance(default, int):
-        value = mapping[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaViolationError(f"{where}: '{key}' must be a number")
-        return type(default)(value)
-    value = mapping[key]
-    if not isinstance(value, type(default)):
-        raise SchemaViolationError(f"{where}: '{key}' must be {type(default).__name__}")
-    return value
+    return _typed(mapping[key], type(default), key, where)
 
 
 def _parse_component(doc: dict, where: str) -> PowerComponent:
@@ -222,7 +222,7 @@ def _parse_component(doc: dict, where: str) -> PowerComponent:
         p_base=_require(doc, "p_base_w", float, where),
         duty_cycle=_optional(doc, "duty_cycle", 1.0, where),
         environmental_factor=_optional(doc, "env_factor", 1.0, where),
-        node_count=int(_optional(doc, "node_count", 1, where)),
+        node_count=_optional(doc, "node_count", 1, where),
         uncertainty=_optional(doc, "uncertainty_w", 0.0, where),
     )
     comp.validate()
@@ -327,31 +327,45 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> ScenarioSpec:
         raise UnknownBaselineError(
             f"baseline '{baseline}' is not a strategy (have: {', '.join(names)})")
 
-    monte_carlo_n = int(_optional(doc, "monte_carlo_n", DEFAULT_MONTE_CARLO_N, "scenario"))
+    monte_carlo_n = _optional(doc, "monte_carlo_n", DEFAULT_MONTE_CARLO_N, "scenario")
     if monte_carlo_n < 1:
         raise SchemaViolationError("monte_carlo_n must be >= 1")
+    seed = _optional(doc, "seed", 0, "scenario")
+    if seed < 0:
+        raise SchemaViolationError(f"seed must be >= 0, got {seed}")
 
     return ScenarioSpec(
         name=name, register_path=register_path, baseline_strategy=baseline,
         strategies=strategies, sei_weights=weights, monte_carlo_n=monte_carlo_n,
-        seed=int(_optional(doc, "seed", 0, "scenario")))
+        seed=seed)
 
 
-def check_targets_resolve(scenario: ScenarioSpec, register: Register) -> None:
+def check_targets_resolve(scenario: ScenarioSpec,
+                          register: Register) -> dict[str, VulnerabilityEntry]:
+    """Every targeted register entry by id, in first-seen order.
+
+    Raises ``UnresolvedVulnIdError`` for the first target whose id is not
+    in the register.
+    """
+    resolved: dict[str, VulnerabilityEntry] = {}
     for strategy in scenario.strategies:
         for target in strategy.targets:
-            if register.get(target.vuln_id) is None:
+            if target.vuln_id in resolved:
+                continue
+            entry = register.get(target.vuln_id)
+            if entry is None:
                 raise UnresolvedVulnIdError(
                     f"strategy '{strategy.name}' targets unknown register id "
                     f"'{target.vuln_id}'")
+            resolved[target.vuln_id] = entry
+    return resolved
 
 
-def load_scenario(path: str | Path, register: Register | None = None) -> ScenarioSpec:
-    """Load a scenario file and resolve its cross-references.
+def load_scenario(path: str | Path) -> ScenarioSpec:
+    """Load a scenario file and check its cross-references.
 
-    The scenario's register is loaded (relative paths resolve against the
-    scenario file's directory) to verify every targeted id exists; pass
-    ``register`` to check against an already-loaded one instead.
+    The scenario's register is loaded (a relative path resolves against
+    the scenario file's directory) to check that every targeted id exists.
     """
     path = Path(path)
     try:
@@ -361,27 +375,8 @@ def load_scenario(path: str | Path, register: Register | None = None) -> Scenari
     except json.JSONDecodeError as exc:
         raise SchemaViolationError(f"{path} is not valid JSON: {exc}") from exc
     scenario = parse_scenario(doc, base_dir=path.parent)
-    if register is None:
-        register = load_register(scenario.register_path)
-    check_targets_resolve(scenario, register)
+    check_targets_resolve(scenario, load_register(scenario.register_path))
     return scenario
-
-
-def _strategy_contributions(strategy: StrategySpec,
-                            register: Register) -> tuple[VulnContribution, ...]:
-    rrf = strategy.effective_rrf()
-    contributions = []
-    for target in strategy.targets:
-        entry = register.get(target.vuln_id)
-        if entry is None:
-            raise UnresolvedVulnIdError(
-                f"strategy '{strategy.name}' targets unknown register id "
-                f"'{target.vuln_id}'")
-        contributions.append(VulnContribution(
-            vuln_id=target.vuln_id, cvss=entry.cvss_score,
-            exploit_probability=target.exploit_probability,
-            mission_criticality=target.mission_criticality, rrf=rrf))
-    return tuple(contributions)
 
 
 def evaluate(scenario: ScenarioSpec, register: Register,
@@ -393,14 +388,20 @@ def evaluate(scenario: ScenarioSpec, register: Register,
     multi-criteria index takes the SpW term at display precision (two
     decimals) so the printed arithmetic stays self-consistent.
     """
-    check_targets_resolve(scenario, register)
+    entries = check_targets_resolve(scenario, register)
     master_seed = scenario.seed if seed is None else seed
     child_seeds = np.random.SeedSequence(master_seed).generate_state(
         len(scenario.strategies))
 
     outcomes = []
     for strategy, child_seed in zip(scenario.strategies, child_seeds):
-        contributions = _strategy_contributions(strategy, register)
+        rrf = strategy.effective_rrf()
+        contributions = tuple(
+            VulnContribution(
+                vuln_id=t.vuln_id, cvss=entries[t.vuln_id].cvss_score,
+                exploit_probability=t.exploit_probability,
+                mission_criticality=t.mission_criticality, rrf=rrf)
+            for t in strategy.targets)
         sg = security_gain(contributions)
         components = strategy.power_components()
         power = operational_power(components)
@@ -442,14 +443,5 @@ def evaluate(scenario: ScenarioSpec, register: Register,
 def classify_targets(scenario: ScenarioSpec,
                      register: Register) -> list[tuple[str, RiskTier]]:
     """Tier every targeted register entry (deduplicated, first-seen order)."""
-    seen = []
-    for strategy in scenario.strategies:
-        for target in strategy.targets:
-            if target.vuln_id in seen:
-                continue
-            if register.get(target.vuln_id) is None:
-                raise UnresolvedVulnIdError(
-                    f"strategy '{strategy.name}' targets unknown register id "
-                    f"'{target.vuln_id}'")
-            seen.append(target.vuln_id)
-    return [(vuln_id, classify_tier(register.get(vuln_id))) for vuln_id in seen]
+    return [(vuln_id, classify_tier(entry))
+            for vuln_id, entry in check_targets_resolve(scenario, register).items()]

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, streams and output formats."""
 
+import json
 import re
 
 import pytest
@@ -178,6 +179,34 @@ class TestScenario:
         code, _, err = run(capsys, "scenario", str(path))
         assert code == 2
         assert "missing key" in err
+
+
+    def test_negative_seed_option(self, capsys, scenario_s2_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", str(scenario_s2_path), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_negative_seed_in_file(self, capsys, tmp_path, scenario_s2_path):
+        doc = json.loads(scenario_s2_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s2_path.parent / doc["register"])
+        doc["seed"] = -1
+        path = tmp_path / "negative_seed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "seed" in err and "internal error" not in err
+
+    def test_non_finite_power(self, capsys, tmp_path, scenario_s2_path):
+        doc = json.loads(scenario_s2_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s2_path.parent / doc["register"])
+        doc["strategies"][0]["controls"][0]["power"][0]["env_factor"] = float("inf")
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert "env_factor" in err and "internal error" not in err
 
 
 class TestChecklist:

@@ -152,6 +152,49 @@ class TestValidation:
         with pytest.warns(DuplicatePowerLabelWarning, match="same"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("key", ["p_base_w", "uncertainty_w", "env_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10 ** 400])
+    def test_non_finite_power_number(self, key, value):
+        bad = strategy_doc("a")
+        bad["controls"][0]["power"][0][key] = value
+        with pytest.raises(SchemaViolationError, match=f"'{key}' must be a finite number"):
+            parse_scenario(scenario_doc([bad, strategy_doc("b")], register="r.csv"))
+
+    def test_non_finite_number_in_file(self, tmp_scenario):
+        bad = strategy_doc("a")
+        bad["controls"][0]["power"][0]["p_base_w"] = float("nan")
+        path = tmp_scenario(scenario_doc([bad, strategy_doc("b")]))
+        assert "NaN" in path.read_text(encoding="utf-8")
+        with pytest.raises(SchemaViolationError, match="'p_base_w' must be a finite number"):
+            load_scenario(path)
+
+    def test_non_integral_node_count(self):
+        bad = strategy_doc("a")
+        bad["controls"][0]["power"][0]["node_count"] = 2.7
+        with pytest.raises(SchemaViolationError, match="'node_count' must be an integer"):
+            parse_scenario(scenario_doc([bad, strategy_doc("b")], register="r.csv"))
+
+    @pytest.mark.parametrize("key,value", [("monte_carlo_n", 2.5), ("seed", 1.5)])
+    def test_non_integral_top_level_integer(self, key, value):
+        doc = scenario_doc([strategy_doc("a"), strategy_doc("b")], register="r.csv")
+        doc[key] = value
+        with pytest.raises(SchemaViolationError, match=f"'{key}' must be an integer"):
+            parse_scenario(doc)
+
+    def test_integral_float_accepted_as_integer(self):
+        doc = scenario_doc([strategy_doc("a"), strategy_doc("b")], register="r.csv",
+                           seed=3.0)
+        doc["strategies"][0]["controls"][0]["power"][0]["node_count"] = 2.0
+        scenario = parse_scenario(doc)
+        assert scenario.seed == 3 and type(scenario.seed) is int
+        assert scenario.strategies[0].power_components()[0].node_count == 2
+
+    def test_negative_seed(self):
+        doc = scenario_doc([strategy_doc("a"), strategy_doc("b")], register="r.csv",
+                           seed=-1)
+        with pytest.raises(SchemaViolationError, match="seed must be >= 0"):
+            parse_scenario(doc)
+
 
 @pytest.fixture(scope="module")
 def s1_result(scenario_s1_path):
