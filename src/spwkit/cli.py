@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: validate, score, classify, stats, scenario, checklist.
-Reports go to stdout (or --out); diagnostics go to stderr. Exit codes:
-0 success, 1 internal error, 2 input or validation error. The SPW_REGISTER
-environment variable supplies a default register path where one is not
-given on the command line.
+classify, stats, scenario and checklist take --format and --out; scenario
+also takes --seed and --paper-check; any other option is a usage error
+(exit 2). Reports go to stdout (or --out); diagnostics go to stderr. Exit
+codes: 0 success, 1 internal error, 2 input or validation error. The
+SPW_REGISTER environment variable supplies a default register path where
+one is not given on the command line.
 """
 
 from __future__ import annotations
@@ -41,49 +43,47 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=[f.value for f in ReportFormat],
+def _output_options() -> argparse.ArgumentParser:
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=[f.value for f in ReportFormat],
                         default=ReportFormat.MARKDOWN.value,
                         help="report output format (default: md)")
-    common.add_argument("--out", metavar="PATH",
+    output.add_argument("--out", metavar="PATH",
                         help="write the report to PATH instead of stdout")
-    common.add_argument("--seed", type=_seed, default=None,
-                        help="override the scenario's Monte Carlo seed")
-    return common
+    return output
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
+    output = _output_options()
     parser = argparse.ArgumentParser(
         prog="spw",
         description="Power-aware security risk assessment for CubeSat missions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="validate a register file")
+    p = sub.add_parser("validate", help="validate a register file")
     p.add_argument("register", nargs="?", help=f"register CSV (default: ${REGISTER_ENV})")
 
-    p = sub.add_parser("score", parents=[common],
-                       help="score a CVSS v3.1 vector string")
+    p = sub.add_parser("score", help="score a CVSS v3.1 vector string")
     p.add_argument("vector", help="vector, e.g. CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H")
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[output],
                        help="tier-classify every register entry")
     p.add_argument("register", nargs="?", help=f"register CSV (default: ${REGISTER_ENV})")
 
-    p = sub.add_parser("stats", parents=[common],
+    p = sub.add_parser("stats", parents=[output],
                        help="per-subsystem severity summary")
     p.add_argument("register", nargs="?", help=f"register CSV (default: ${REGISTER_ENV})")
 
-    p = sub.add_parser("scenario", parents=[common],
+    p = sub.add_parser("scenario", parents=[output],
                        help="evaluate a scenario file and report the comparison")
     p.add_argument("scenario", help="scenario JSON file")
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="override the scenario's Monte Carlo seed")
     p.add_argument("--paper-check", action="store_true",
                    help="append a comparison of computed values against the "
                         "published reference figures bundled for this scenario")
 
-    sub.add_parser("checklist", parents=[common],
+    sub.add_parser("checklist", parents=[output],
                    help="emit the supply-chain baseline practice checklist")
     return parser
 
@@ -133,8 +133,7 @@ def cmd_scenario(args) -> int:
     scenario = load_scenario(args.scenario)
     register = load_register(scenario.register_path)
     result = evaluate(scenario, register, seed=args.seed)
-    _emit(scenario_report(scenario, register, result, paper_check=args.paper_check),
-          args)
+    _emit(scenario_report(scenario, result, paper_check=args.paper_check), args)
     return EXIT_OK
 
 

@@ -5,7 +5,8 @@ Register files are UTF-8 CSV (RFC 4180 quoting) with this exact header::
     id,title,subsystem,stride,attack_techniques,cvss_vector,cvss_score,
     mission_functions,description,preconditions,impact,mitigations
 
-Lines starting with ``#`` before the header are comments. Multi-valued
+Lines starting with ``#`` before the header are comments. Quoted cells
+may hold any line break; saved registers end rows with CRLF. Multi-valued
 cells (stride, attack_techniques, mission_functions) join tokens with
 ``;``. A row may carry a vector, a declared score, or both; when both are
 present the vector is scored and must agree with the declared score.
@@ -45,6 +46,7 @@ BUNDLED_REGISTER = "register_42.csv"
 _ID_RE = re.compile(r"^[A-Za-z][0-9]+$")
 _TECHNIQUE_RE = re.compile(r"^T[0-9]{4}(\.[0-9]{3})?$")
 _SCORE_RE = re.compile(r"^[0-9]+\.[0-9]$")
+_COMMENT_LINES_RE = re.compile(r"(?:#[^\r\n]*(?:\r\n?|\n|$))*")
 
 
 @dataclass(frozen=True)
@@ -193,11 +195,8 @@ def _parse_row(row: dict[str, str], line_no: int) -> VulnerabilityEntry:
 
 def loads(text: str, source: str = "<string>") -> Register:
     """Parse register CSV content; every well-formed row is kept."""
-    lines = text.splitlines()
-    start = 0
-    while start < len(lines) and lines[start].startswith("#"):
-        start += 1
-    reader = csv.reader(io.StringIO("\n".join(lines[start:])))
+    text = text[_COMMENT_LINES_RE.match(text).end():]
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -235,7 +234,8 @@ def load_register(path: str | Path) -> Register:
     """Load and validate a register file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except OSError as exc:
         raise RegisterError(f"cannot read register file {path}: {exc}") from exc
     return loads(text, source=str(path))
@@ -262,7 +262,8 @@ def _entry_row(e: VulnerabilityEntry) -> list[str]:
 def serialize(register: Register) -> str:
     """Render a register back to CSV; loads(serialize(r)) == r."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # CRLF row ends (RFC 4180) make the writer quote cells holding a bare CR.
+    writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(COLUMNS)
     for e in register.entries:
         writer.writerow(_entry_row(e))
@@ -270,7 +271,7 @@ def serialize(register: Register) -> str:
 
 
 def save_register(register: Register, path: str | Path) -> None:
-    Path(path).write_text(serialize(register), encoding="utf-8")
+    Path(path).write_text(serialize(register), encoding="utf-8", newline="")
 
 
 def filter_by_subsystem(register: Register, subsystem: Subsystem) -> list[VulnerabilityEntry]:

@@ -21,7 +21,7 @@ from enum import Enum
 from importlib import resources
 
 from .register import Register
-from .scenario import ComparisonReport, ScenarioSpec, classify_targets
+from .scenario import ComparisonReport, ScenarioSpec
 from .stats import severity_distribution, summarize
 from .taxonomy import classify_tier
 
@@ -182,8 +182,8 @@ def _best_candidate(report: ComparisonReport):
     return max(candidates, key=lambda c: c.spw_ratio)
 
 
-def scenario_report(scenario: ScenarioSpec, register: Register,
-                    report: ComparisonReport, paper_check: bool = False) -> ReportDocument:
+def scenario_report(scenario: ScenarioSpec, report: ComparisonReport,
+                    paper_check: bool = False) -> ReportDocument:
     """Full scenario evaluation document."""
     doc = ReportDocument()
 
@@ -209,10 +209,7 @@ def scenario_report(scenario: ScenarioSpec, register: Register,
         ("Strategy", "SpW ratio", "Power saving", "Security reduction", "SEI ratio"),
         rows)
 
-    tier_rows = [
-        (vuln_id, register.get(vuln_id).title, str(tier))
-        for vuln_id, tier in classify_targets(scenario, register)
-    ]
+    tier_rows = [(e.id, e.title, str(classify_tier(e))) for e in report.targets]
     doc.add_table("Target classification", ("Id", "Title", "Tier"), tier_rows)
 
     composed = [o.name for o in report.outcomes if o.rrf_composed]

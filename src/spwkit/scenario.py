@@ -174,6 +174,7 @@ class ComparisonReport:
     baseline: str
     outcomes: tuple[StrategyOutcome, ...]
     comparisons: tuple[StrategyComparison, ...]
+    targets: tuple[VulnerabilityEntry, ...]  # every targeted entry, first-seen order
 
     def outcome(self, name: str) -> StrategyOutcome:
         for o in self.outcomes:
@@ -372,7 +373,7 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise SchemaViolationError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes, bad JSON, over-long int literals
         raise SchemaViolationError(f"{path} is not valid JSON: {exc}") from exc
     scenario = parse_scenario(doc, base_dir=path.parent)
     check_targets_resolve(scenario, load_register(scenario.register_path))
@@ -437,7 +438,8 @@ def evaluate(scenario: ScenarioSpec, register: Register,
 
     return ComparisonReport(
         scenario_name=scenario.name, baseline=scenario.baseline_strategy,
-        outcomes=tuple(normalised_outcomes), comparisons=tuple(comparisons))
+        outcomes=tuple(normalised_outcomes), comparisons=tuple(comparisons),
+        targets=tuple(entries.values()))
 
 
 def classify_targets(scenario: ScenarioSpec,

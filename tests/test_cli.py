@@ -198,6 +198,26 @@ class TestScenario:
         assert out == ""
         assert "seed" in err and "internal error" not in err
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "latin1.json" in err and "internal error" not in err
+
+    def test_over_long_integer(self, capsys, tmp_path, scenario_s2_path):
+        doc = json.loads(scenario_s2_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s2_path.parent / doc["register"])
+        doc["seed"] = 0
+        text = json.dumps(doc).replace('"seed": 0', '"seed": ' + "1" * 5001)
+        path = tmp_path / "long_seed.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "long_seed.json" in err and "internal error" not in err
+
     def test_non_finite_power(self, capsys, tmp_path, scenario_s2_path):
         doc = json.loads(scenario_s2_path.read_text(encoding="utf-8"))
         doc["register"] = str(scenario_s2_path.parent / doc["register"])
@@ -238,3 +258,16 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert "| Ground segment |" in target.read_text(encoding="utf-8")
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ("score", "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N", "--out", "report.txt"),
+        ("validate", "register.csv", "--format", "csv"),
+        ("classify", "register.csv", "--seed", "3"),
+    ])
+    def test_option_the_subcommand_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,6 +1,9 @@
 """Register loading, validation errors, lookups and round-tripping."""
 
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from spwkit import cvss
 from spwkit.errors import (
@@ -17,8 +20,10 @@ from spwkit.register import (
     COLUMNS,
     Register,
     filter_by_subsystem,
+    load_bundled_register,
     load_register,
     loads,
+    save_register,
     serialize,
 )
 from spwkit.taxonomy import MissionFunction, Stride, Subsystem
@@ -96,6 +101,11 @@ class TestLoading:
     def test_comment_lines_skipped(self):
         reg = loads("# one\n# two\n" + make_csv(row()))
         assert len(reg) == 1
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_comment_lines_skipped_at_any_line_end(self, end):
+        text = f"# one{end}# two{end}" + make_csv(row()).replace("\n", end)
+        assert loads(text) == loads(make_csv(row()))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(RegisterError):
@@ -198,3 +208,43 @@ class TestRoundTrip:
         out = tmp_path / "reg.csv"
         save_register(register, out)
         assert load_register(out) == register
+
+
+BUNDLED = load_bundled_register()
+FREE_TEXT = ("description", "preconditions", "impact", "mitigations")
+TITLES = st.text(min_size=1).map(str.strip).filter(bool)
+
+
+@st.composite
+def registers(draw):
+    """Bundled entries with arbitrary titles and free-text cells."""
+    picked = draw(st.lists(st.sampled_from(BUNDLED.entries), min_size=1, max_size=4,
+                           unique_by=lambda e: e.id))
+    return Register(entries=[
+        dataclasses.replace(e, title=draw(TITLES),
+                            **{column: draw(st.text()) for column in FREE_TEXT})
+        for e in picked])
+
+
+def _with_free_text(text):
+    entry = dataclasses.replace(BUNDLED.entries[0], **dict.fromkeys(FREE_TEXT, text))
+    return Register(entries=[entry])
+
+
+LINE_BREAK_CELLS = _with_free_text(
+    "crlf\r\n cr\r lf\n nel\x85 ls\u2028 ps\u2029 vt\x0b ff\x0c nul\x00 \"q\", c")
+
+
+class TestRoundTripProperties:
+    @given(registers())
+    @example(LINE_BREAK_CELLS)
+    def test_loads_serialize(self, register):
+        assert loads(serialize(register)) == register
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(registers())
+    @example(LINE_BREAK_CELLS)
+    def test_save_and_load(self, tmp_path, register):
+        path = tmp_path / "register.csv"
+        save_register(register, path)
+        assert load_register(path) == register

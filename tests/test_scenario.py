@@ -384,6 +384,15 @@ class TestClassifyTargets:
         register = load_register(scenario.register_path)
         assert classify_targets(scenario, register) == [("C3", RiskTier.LOW)]
 
+    def test_evaluation_carries_targets_first_seen(self, tmp_scenario):
+        path = tmp_scenario(scenario_doc([
+            strategy_doc("a", targets=("C3", "C1")),
+            strategy_doc("b", targets=("C1", "N1"))]))
+        scenario = load_scenario(path)
+        register = load_register(scenario.register_path)
+        targets = evaluate(scenario, register).targets
+        assert targets == tuple(register.get(i) for i in ("C3", "C1", "N1"))
+
     def test_unresolved_target(self, register):
         doc = scenario_doc([strategy_doc("a", targets=("Z9",)), strategy_doc("b")],
                            register="r.csv")
