@@ -88,12 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _register_path(args) -> str:
-    path = getattr(args, "register", None) or os.environ.get(REGISTER_ENV)
+def _load(args) -> Register:
+    path = args.register or os.environ.get(REGISTER_ENV)
     if not path:
         raise SpwkitError(
             f"no register given: pass a path or set ${REGISTER_ENV}")
-    return path
+    return load_register(path)
 
 
 def _emit(doc: ReportDocument, args) -> None:
@@ -102,10 +102,6 @@ def _emit(doc: ReportDocument, args) -> None:
         Path(args.out).write_text(rendered, encoding="utf-8")
     else:
         sys.stdout.write(rendered)
-
-
-def _load(args) -> Register:
-    return load_register(_register_path(args))
 
 
 def cmd_validate(args) -> int:
@@ -156,10 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SpwkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (SpwkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

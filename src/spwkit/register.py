@@ -193,12 +193,21 @@ def _parse_row(row: dict[str, str], line_no: int) -> VulnerabilityEntry:
         mitigations=row["mitigations"])
 
 
+def _records(text: str):
+    """(row number, cells) for each CSV record; the header is row 1."""
+    row = 0
+    try:
+        for row, cells in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            yield row, cells
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise RegisterError(f"row {row + 1}: {exc}") from None
+
+
 def loads(text: str, source: str = "<string>") -> Register:
     """Parse register CSV content; every well-formed row is kept."""
-    text = text[_COMMENT_LINES_RE.match(text).end():]
-    reader = csv.reader(io.StringIO(text, newline=""))
+    records = _records(text[_COMMENT_LINES_RE.match(text).end():])
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise MissingColumnError("register file has no header row") from None
     if tuple(h.strip() for h in header) != COLUMNS:
@@ -215,7 +224,7 @@ def loads(text: str, source: str = "<string>") -> Register:
 
     entries: list[VulnerabilityEntry] = []
     seen_ids: set[str] = set()
-    for line_no, cells in enumerate(reader, start=2):
+    for line_no, cells in records:
         if not cells:
             continue
         if len(cells) != len(COLUMNS):
@@ -236,7 +245,7 @@ def load_register(path: str | Path) -> Register:
     try:
         with path.open(encoding="utf-8", newline="") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, NUL in the path
         raise RegisterError(f"cannot read register file {path}: {exc}") from exc
     return loads(text, source=str(path))
 

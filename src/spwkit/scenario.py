@@ -1,13 +1,13 @@
 """Declarative trade-off scenarios: loading, validation and evaluation.
 
-A scenario file is JSON with this shape::
+A scenario file is JSON with this shape and no other keys, at any level::
 
     {
       "name": "...",
       "register": "register_42.csv",          // path, relative to this file
       "baseline": "strategy name",
       "weights": {"alpha": .., "beta": .., "gamma": .., "delta": ..},
-      "monte_carlo_n": 20000,                  // optional, default 10000
+      "monte_carlo_n": 20000,                  // optional, default 10000, 1..1000000
       "seed": 7,                               // optional, default 0
       "strategies": [
         {
@@ -75,6 +75,7 @@ from .spw import (
 from .taxonomy import RiskTier, classify_tier
 
 DEFAULT_MONTE_CARLO_N = 10_000
+MAX_MONTE_CARLO_N = 1_000_000
 
 SPW_DISPLAY_DECIMALS = 2
 
@@ -189,9 +190,19 @@ class ComparisonReport:
         raise KeyError(name)
 
 
-def _typed(value, kind: type, key: str, where: str):
-    """``value`` checked as ``kind``; numbers must be finite, and integral
-    where ``kind`` is ``int``."""
+def _object(doc, keys, where: str) -> dict:
+    """``doc`` checked as a JSON object holding no key outside ``keys``."""
+    if not isinstance(doc, dict):
+        raise SchemaViolationError(f"{where} must be a JSON object")
+    unknown = set(doc).difference(keys)
+    if unknown:
+        raise SchemaViolationError(f"{where}: unknown key(s): {sorted(unknown)}")
+    return doc
+
+
+def _typed(value, kind: type, key: str, where: str, lo=None, hi=None):
+    """``value`` checked as ``kind``; numbers must be finite, integral
+    where ``kind`` is ``int``, and within the ``lo``/``hi`` bounds given."""
     if kind not in (int, float):
         if not isinstance(value, kind):
             raise SchemaViolationError(f"{where}: '{key}' must be {kind.__name__}")
@@ -202,22 +213,29 @@ def _typed(value, kind: type, key: str, where: str):
         raise SchemaViolationError(f"{where}: '{key}' must be a finite number")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise SchemaViolationError(f"{where}: '{key}' must be an integer, got {value}")
-    return kind(value)
+    value = kind(value)
+    if hi is not None and not lo <= value <= hi:
+        raise SchemaViolationError(f"{where}: {key}={value} outside [{lo}, {hi}]")
+    if lo is not None and value < lo:
+        raise SchemaViolationError(f"{where}: {key} must be >= {lo}, got {value}")
+    return value
 
 
-def _require(mapping: dict, key: str, kind: type, where: str):
+def _require(mapping: dict, key: str, kind: type, where: str, lo=None, hi=None):
     if key not in mapping:
         raise SchemaViolationError(f"{where}: missing key '{key}'")
-    return _typed(mapping[key], kind, key, where)
+    return _typed(mapping[key], kind, key, where, lo, hi)
 
 
-def _optional(mapping: dict, key: str, default, where: str):
+def _optional(mapping: dict, key: str, default, where: str, lo=None, hi=None):
     if key not in mapping:
         return default
-    return _typed(mapping[key], type(default), key, where)
+    return _typed(mapping[key], type(default), key, where, lo, hi)
 
 
-def _parse_component(doc: dict, where: str) -> PowerComponent:
+def _parse_component(doc, where: str) -> PowerComponent:
+    _object(doc, {"label", "p_base_w", "duty_cycle", "env_factor", "node_count",
+                  "uncertainty_w"}, where)
     comp = PowerComponent(
         label=_require(doc, "label", str, where),
         p_base=_require(doc, "p_base_w", float, where),
@@ -230,57 +248,47 @@ def _parse_component(doc: dict, where: str) -> PowerComponent:
     return comp
 
 
-def _parse_control(doc: dict, where: str) -> ControlSpec:
-    control_id = _require(doc, "id", str, where)
-    rrf = _require(doc, "rrf", float, where)
-    if not 0.0 <= rrf <= 1.0:
-        raise SchemaViolationError(f"{where}: rrf {rrf} outside [0, 1]")
+def _parse_control(doc, where: str) -> ControlSpec:
+    _object(doc, {"id", "rrf", "description", "adapted_from", "power"}, where)
     power = _require(doc, "power", list, where)
     if not power:
         raise SchemaViolationError(f"{where}: power model must not be empty")
-    components = tuple(
-        _parse_component(c, f"{where}.power[{i}]") for i, c in enumerate(power))
     return ControlSpec(
-        control_id=control_id, rrf=rrf, power_components=components,
+        control_id=_require(doc, "id", str, where),
+        rrf=_require(doc, "rrf", float, where, 0, 1),
+        power_components=tuple(
+            _parse_component(c, f"{where}.power[{i}]") for i, c in enumerate(power)),
         description=_optional(doc, "description", "", where),
         adapted_from=_optional(doc, "adapted_from", "", where))
 
 
-def _parse_strategy(doc: dict, index: int) -> StrategySpec:
+def _parse_target(doc, where: str) -> TargetSpec:
+    _object(doc, {"vuln_id", "p", "m"}, where)
+    return TargetSpec(
+        vuln_id=_require(doc, "vuln_id", str, where),
+        exploit_probability=_require(doc, "p", float, where, 0, 1),
+        mission_criticality=_require(doc, "m", float, where, 0, 1))
+
+
+def _parse_strategy(doc, index: int) -> StrategySpec:
     where = f"strategies[{index}]"
+    _object(doc, {"name", "controls", "targets", "criteria"}, where)
     name = _require(doc, "name", str, where)
     controls_doc = _require(doc, "controls", list, where)
     if not controls_doc:
         raise SchemaViolationError(f"{where}: needs at least one control")
     controls = tuple(
         _parse_control(c, f"{where}.controls[{i}]") for i, c in enumerate(controls_doc))
-
-    targets_doc = _require(doc, "targets", list, where)
-    targets = []
-    for i, t in enumerate(targets_doc):
-        t_where = f"{where}.targets[{i}]"
-        target = TargetSpec(
-            vuln_id=_require(t, "vuln_id", str, t_where),
-            exploit_probability=_require(t, "p", float, t_where),
-            mission_criticality=_require(t, "m", float, t_where))
-        for key, value in (("p", target.exploit_probability),
-                           ("m", target.mission_criticality)):
-            if not 0.0 <= value <= 1.0:
-                raise SchemaViolationError(f"{t_where}: {key}={value} outside [0, 1]")
-        targets.append(target)
-
-    criteria = _require(doc, "criteria", dict, where)
-    scores = {
-        key: _require(criteria, key, float, f"{where}.criteria")
-        for key in ("latency", "storage", "complexity")
-    }
-    for key, value in scores.items():
-        if not 0.0 <= value <= 1.0:
-            raise SchemaViolationError(f"{where}.criteria: {key}={value} outside [0, 1]")
+    targets = tuple(_parse_target(t, f"{where}.targets[{i}]")
+                    for i, t in enumerate(_require(doc, "targets", list, where)))
+    c_where = f"{where}.criteria"
+    criteria = _object(_require(doc, "criteria", dict, where),
+                       {"latency", "storage", "complexity"}, c_where)
     strategy = StrategySpec(
-        name=name, controls=controls, targets=tuple(targets),
-        latency_score=scores["latency"], storage_score=scores["storage"],
-        complexity_score=scores["complexity"])
+        name=name, controls=controls, targets=targets,
+        latency_score=_require(criteria, "latency", float, c_where, 0, 1),
+        storage_score=_require(criteria, "storage", float, c_where, 0, 1),
+        complexity_score=_require(criteria, "complexity", float, c_where, 0, 1))
 
     labels = [c.label for c in strategy.power_components()]
     for label in sorted({l for l in labels if labels.count(l) > 1}):
@@ -293,25 +301,16 @@ def _parse_strategy(doc: dict, index: int) -> StrategySpec:
 
 def parse_scenario(doc: dict, base_dir: Path | None = None) -> ScenarioSpec:
     """Validate a scenario document; register path resolves against base_dir."""
-    if not isinstance(doc, dict):
-        raise SchemaViolationError("scenario document must be a JSON object")
-    known = {"name", "register", "baseline", "weights", "monte_carlo_n", "seed",
-             "strategies"}
-    unknown = set(doc) - known
-    if unknown:
-        raise SchemaViolationError(f"unknown top-level key(s): {sorted(unknown)}")
-
+    _object(doc, {"name", "register", "baseline", "weights", "monte_carlo_n", "seed",
+                  "strategies"}, "scenario")
     name = _require(doc, "name", str, "scenario")
     register_path = _require(doc, "register", str, "scenario")
     if base_dir is not None:
-        register_path = str((base_dir / register_path).resolve())
+        register_path = str((base_dir / register_path).absolute())
 
-    weights_doc = _require(doc, "weights", dict, "scenario")
-    weights = SeiWeights(
-        alpha=_require(weights_doc, "alpha", float, "weights"),
-        beta=_require(weights_doc, "beta", float, "weights"),
-        gamma=_require(weights_doc, "gamma", float, "weights"),
-        delta=_require(weights_doc, "delta", float, "weights"))
+    weight_keys = ("alpha", "beta", "gamma", "delta")
+    weights_doc = _object(_require(doc, "weights", dict, "scenario"), weight_keys, "weights")
+    weights = SeiWeights(**{k: _require(weights_doc, k, float, "weights") for k in weight_keys})
     weights.validate()
 
     strategies_doc = _require(doc, "strategies", list, "scenario")
@@ -320,25 +319,21 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> ScenarioSpec:
     strategies = tuple(_parse_strategy(s, i) for i, s in enumerate(strategies_doc))
 
     names = [s.name for s in strategies]
-    for dup in sorted({n for n in names if names.count(n) > 1}):
-        raise DuplicateStrategyNameError(f"strategy name '{dup}' appears twice")
+    duplicates = sorted({n for n in names if names.count(n) > 1})
+    if duplicates:
+        raise DuplicateStrategyNameError(f"strategy name '{duplicates[0]}' appears twice")
 
     baseline = _require(doc, "baseline", str, "scenario")
     if baseline not in names:
         raise UnknownBaselineError(
             f"baseline '{baseline}' is not a strategy (have: {', '.join(names)})")
 
-    monte_carlo_n = _optional(doc, "monte_carlo_n", DEFAULT_MONTE_CARLO_N, "scenario")
-    if monte_carlo_n < 1:
-        raise SchemaViolationError("monte_carlo_n must be >= 1")
-    seed = _optional(doc, "seed", 0, "scenario")
-    if seed < 0:
-        raise SchemaViolationError(f"seed must be >= 0, got {seed}")
-
     return ScenarioSpec(
         name=name, register_path=register_path, baseline_strategy=baseline,
-        strategies=strategies, sei_weights=weights, monte_carlo_n=monte_carlo_n,
-        seed=seed)
+        strategies=strategies, sei_weights=weights,
+        monte_carlo_n=_optional(doc, "monte_carlo_n", DEFAULT_MONTE_CARLO_N, "scenario",
+                                1, MAX_MONTE_CARLO_N),
+        seed=_optional(doc, "seed", 0, "scenario", lo=0))
 
 
 def check_targets_resolve(scenario: ScenarioSpec,

@@ -83,6 +83,8 @@ class PowerComponent:
             raise FactorOutOfRangeError(f"{self.label}: node_count must be >= 1")
         if self.uncertainty < 0:
             raise FactorOutOfRangeError(f"{self.label}: uncertainty must be >= 0")
+        if not math.isfinite(self.total + 2 * self.uncertainty):  # the sampled interval and width
+            raise FactorOutOfRangeError(f"{self.label}: total +/- uncertainty is not finite")
 
     @property
     def total(self) -> float:

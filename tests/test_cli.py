@@ -54,6 +54,23 @@ class TestValidate:
         assert code == 2
         assert "SPW_REGISTER" in err
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(f"{HEADER}\nA1,caf\xe9,comms,S,,,5.0,availability,,,,\n".encode("latin-1"))
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "latin1.csv" in err and "internal error" not in err
+
+    def test_over_long_cell(self, capsys, tmp_path):
+        bad = tmp_path / "long.csv"
+        row = "A1,t,comms,S,,,5.0,availability," + "x" * 200_000 + ",,,"
+        bad.write_text(f"{HEADER}\n{row}\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "row 2" in err and "internal error" not in err
+
 
 class TestScore:
     def test_zero_impact(self, capsys):

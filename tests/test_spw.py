@@ -125,6 +125,15 @@ class TestOperationalPower:
         with pytest.raises(NonPositivePowerError):
             operational_power([PowerComponent("x", 0.0)])
 
+    @pytest.mark.parametrize("component", [
+        PowerComponent("wide", 0.18, uncertainty=1e308),        # width 2u overflows
+        PowerComponent("edge", 1.7e308, uncertainty=1e307),     # total + u overflows
+        PowerComponent("many", 1e308, node_count=24),           # total overflows
+    ], ids=lambda c: c.label)
+    def test_non_finite_interval_rejected(self, component):
+        with pytest.raises(FactorOutOfRangeError, match=component.label):
+            operational_power([component])
+
 
 class TestSpw:
     def test_crypto_example(self):
