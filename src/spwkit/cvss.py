@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import (
     BadPrefixError,
@@ -39,6 +40,9 @@ _PR_WEIGHT_UNCHANGED = {"N": 0.85, "L": 0.62, "H": 0.27}
 _PR_WEIGHT_CHANGED = {"N": 0.85, "L": 0.68, "H": 0.5}
 _UI_WEIGHT = {"N": 0.85, "R": 0.62}
 _IMPACT_WEIGHT = {"H": 0.56, "L": 0.22, "N": 0.0}
+
+# Memo bound: the base-metric group has 4*2*3*2*2*3*3*3 = 2592 vectors.
+_MEMO_SIZE = 4096
 
 
 class Severity(Enum):
@@ -86,6 +90,7 @@ class BaseScore:
         return f"{self.score:.1f} {self.severity}"
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def parse_vector(text: str) -> CvssVector:
     """Parse a v3.1 vector string; metric order is free, duplicates rejected."""
     segments = text.strip().split("/")
@@ -138,6 +143,7 @@ def severity_for(score: float) -> Severity:
     return Severity.CRITICAL
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def base_score(vector: CvssVector) -> BaseScore:
     """Compute the base score for a valid vector (total; never raises)."""
     iss = 1.0 - (

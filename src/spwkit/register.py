@@ -18,7 +18,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -31,6 +31,7 @@ from .errors import (
     MissingColumnError,
     RegisterError,
     ScoreOutOfRangeError,
+    VectorError,
     VectorScoreMismatchError,
 )
 from .taxonomy import MissionFunction, Stride, Subsystem
@@ -111,44 +112,66 @@ def _split_multi(cell: str) -> list[str]:
     return [tok.strip() for tok in cell.split(";") if tok.strip()]
 
 
-def _parse_row(row: dict[str, str], line_no: int) -> VulnerabilityEntry:
-    row_id = row["id"].strip()
+# Subsystem, stride, technique and mission cells repeat across rows, so
+# each is parsed once per distinct text. A cell that raises is not cached.
+_memo = lru_cache(maxsize=1024)
+_subsystem = _memo(Subsystem.from_token)
+
+
+@_memo
+def _token_set(kind: type[Stride] | type[MissionFunction], cell: str) -> frozenset:
+    return frozenset(kind.from_token(t) for t in _split_multi(cell))
+
+
+@_memo
+def _technique_ids(cell: str) -> tuple[str, ...]:
+    """The cell's technique ids; ``ValueError(tid)`` for the first bad one."""
+    techniques = tuple(_split_multi(cell))
+    for tid in techniques:
+        if not _TECHNIQUE_RE.match(tid):
+            raise ValueError(tid)
+    return techniques
+
+
+def _parse_row(cells: list[str], line_no: int) -> VulnerabilityEntry:
+    (row_id, title, subsystem_cell, stride_cell, techniques_cell, vector_text,
+     score_text, missions_cell, description, preconditions, impact, mitigations) = cells
+    row_id = row_id.strip()
     if not _ID_RE.match(row_id):
         raise BadFieldError(
             f"row {line_no}: id '{row_id}' must be a letter followed by digits",
             row_id=row_id, column="id")
 
-    title = row["title"].strip()
+    title = title.strip()
     if not title:
         raise BadFieldError(f"row {row_id}: title must not be empty",
                             row_id=row_id, column="title")
 
     try:
-        subsystem = Subsystem.from_token(row["subsystem"])
+        subsystem = _subsystem(subsystem_cell)
     except ValueError:
         raise BadFieldError(
-            f"row {row_id}: unknown subsystem '{row['subsystem']}'",
+            f"row {row_id}: unknown subsystem '{subsystem_cell}'",
             row_id=row_id, column="subsystem") from None
 
-    stride_tokens = _split_multi(row["stride"])
-    if not stride_tokens:
-        raise BadStrideTokenError(f"row {row_id}: stride set must not be empty",
-                                  row_id=row_id, column="stride")
     try:
-        stride = frozenset(Stride.from_token(t) for t in stride_tokens)
+        stride = _token_set(Stride, stride_cell)
     except ValueError:
         raise BadStrideTokenError(
-            f"row {row_id}: stride tokens must be among S/T/R/I/D/E, got '{row['stride']}'",
+            f"row {row_id}: stride tokens must be among S/T/R/I/D/E, got '{stride_cell}'",
             row_id=row_id, column="stride") from None
+    if not stride:
+        raise BadStrideTokenError(f"row {row_id}: stride set must not be empty",
+                                  row_id=row_id, column="stride")
 
-    techniques = tuple(_split_multi(row["attack_techniques"]))
-    for tid in techniques:
-        if not _TECHNIQUE_RE.match(tid):
-            raise BadTechniqueIdError(
-                f"row {row_id}: bad technique id '{tid}' (expected T#### or T####.###)",
-                row_id=row_id, column="attack_techniques")
+    try:
+        techniques = _technique_ids(techniques_cell)
+    except ValueError as exc:
+        raise BadTechniqueIdError(
+            f"row {row_id}: bad technique id '{exc}' (expected T#### or T####.###)",
+            row_id=row_id, column="attack_techniques") from None
 
-    score_text = row["cvss_score"].strip()
+    score_text = score_text.strip()
     if not _SCORE_RE.match(score_text):
         raise ScoreOutOfRangeError(
             f"row {row_id}: cvss_score '{score_text}' must have exactly one decimal",
@@ -159,12 +182,12 @@ def _parse_row(row: dict[str, str], line_no: int) -> VulnerabilityEntry:
             f"row {row_id}: cvss_score {score} outside 0.0-10.0",
             row_id=row_id, column="cvss_score")
 
-    vector_text = row["cvss_vector"].strip()
+    vector_text = vector_text.strip()
     vector = None
     if vector_text:
         try:
             vector = cvss.parse_vector(vector_text)
-        except cvss.VectorError as exc:
+        except VectorError as exc:
             raise BadFieldError(f"row {row_id}: bad cvss_vector: {exc}",
                                 row_id=row_id, column="cvss_vector") from exc
         computed = cvss.base_score(vector).score
@@ -173,24 +196,22 @@ def _parse_row(row: dict[str, str], line_no: int) -> VulnerabilityEntry:
                 f"row {row_id}: vector scores {computed}, declared {score}",
                 row_id=row_id, column="cvss_score")
 
-    mission_tokens = _split_multi(row["mission_functions"])
-    if not mission_tokens:
+    try:
+        missions = _token_set(MissionFunction, missions_cell)
+    except ValueError:
+        raise BadFieldError(
+            f"row {row_id}: unknown mission function in '{missions_cell}'",
+            row_id=row_id, column="mission_functions") from None
+    if not missions:
         raise BadFieldError(
             f"row {row_id}: mission_functions must not be empty",
             row_id=row_id, column="mission_functions")
-    try:
-        missions = frozenset(MissionFunction.from_token(t) for t in mission_tokens)
-    except ValueError:
-        raise BadFieldError(
-            f"row {row_id}: unknown mission function in '{row['mission_functions']}'",
-            row_id=row_id, column="mission_functions") from None
 
     return VulnerabilityEntry(
         id=row_id, title=title, subsystem=subsystem, stride=stride,
         attack_techniques=techniques, cvss_vector=vector, cvss_score=score,
-        mission_functions=missions, description=row["description"],
-        preconditions=row["preconditions"], impact=row["impact"],
-        mitigations=row["mitigations"])
+        mission_functions=missions, description=description,
+        preconditions=preconditions, impact=impact, mitigations=mitigations)
 
 
 def _records(text: str):
@@ -230,7 +251,7 @@ def loads(text: str, source: str = "<string>") -> Register:
         if len(cells) != len(COLUMNS):
             raise MissingColumnError(
                 f"row {line_no}: expected {len(COLUMNS)} fields, got {len(cells)}")
-        entry = _parse_row(dict(zip(COLUMNS, cells)), line_no)
+        entry = _parse_row(cells, line_no)
         if entry.id in seen_ids:
             raise DuplicateIdError(f"duplicate id '{entry.id}'",
                                    row_id=entry.id, column="id")

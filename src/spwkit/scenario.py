@@ -201,11 +201,19 @@ def _object(doc, keys, where: str) -> dict:
 
 
 def _typed(value, kind: type, key: str, where: str, lo=None, hi=None):
-    """``value`` checked as ``kind``; numbers must be finite, integral
-    where ``kind`` is ``int``, and within the ``lo``/``hi`` bounds given."""
+    """``value`` checked as ``kind``; strings must encode as UTF-8 (JSON
+    admits lone surrogate escapes, which no report could print), numbers
+    must be finite, integral where ``kind`` is ``int``, and within the
+    ``lo``/``hi`` bounds given."""
     if kind not in (int, float):
         if not isinstance(value, kind):
             raise SchemaViolationError(f"{where}: '{key}' must be {kind.__name__}")
+        if kind is str:
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SchemaViolationError(
+                    f"{where}: '{key}' holds a lone surrogate, not UTF-8 text") from None
         return value
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaViolationError(f"{where}: '{key}' must be a number")

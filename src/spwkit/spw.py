@@ -13,6 +13,10 @@ Sigma on SpW is this toolkit's own estimate (first-order relative
 propagation, or seeded Monte Carlo over per-component uniform intervals);
 published uncertainty figures for the modelled scenarios are not derivable
 from their stated inputs and are only ever shown as reference values.
+
+The Monte Carlo sampler fills its ``n`` power totals chunk by chunk, so
+memory is O(n) rather than O(n * k) for ``k`` components, and its draws are
+bit-identical to one ``Generator.uniform`` call over the ``(n, k)`` matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .errors import (
     WeightsNotNormalizedError,
     ZeroBaselineError,
 )
+
+MONTE_CARLO_CHUNK = 1 << 17  # float64 values (1 MB) drawn per sampler chunk
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,35 @@ def operational_power(components: Sequence[PowerComponent]) -> PowerEstimate:
     )
 
 
+def _power_samples(centres: np.ndarray, widths: np.ndarray, n: int,
+                   seed: int) -> np.ndarray:
+    """``n`` draws of the summed power, component ``j`` uniform on
+    ``[centres[j] - widths[j], centres[j] + widths[j]]``.
+
+    Bit for bit ``default_rng(seed).uniform(centres - widths, centres +
+    widths, size=(n, k)).sum(axis=1)``: ``uniform`` computes ``low + (high
+    - low) * next_double`` in C order, and so does this, at most
+    ``MONTE_CARLO_CHUNK`` values at a time. The range checks are its own.
+    """
+    rng = np.random.default_rng(seed)
+    low = centres - widths
+    span = (centres + widths) - low
+    if not np.all(np.isfinite(span)):
+        raise OverflowError("Range exceeds valid bounds")
+    if np.any(span < 0):
+        raise ValueError("high - low < 0")
+    samples = np.empty(n)
+    rows = max(1, MONTE_CARLO_CHUNK // len(low))
+    u = np.empty((min(n, rows), len(low)))
+    for start in range(0, n, rows):
+        chunk = u[:min(rows, n - start)]
+        rng.random(out=chunk)
+        chunk *= span
+        chunk += low
+        chunk.sum(axis=1, out=samples[start:start + len(chunk)])
+    return samples
+
+
 def spw(
     sg: float,
     power: PowerEstimate | tuple[float, float],
@@ -208,9 +243,7 @@ def spw(
         else:
             centres = np.array([total])
             widths = np.array([uncertainty])
-        rng = np.random.default_rng(seed)
-        samples = rng.uniform(centres - widths, centres + widths,
-                              size=(n_samples, len(centres))).sum(axis=1)
+        samples = _power_samples(centres, widths, n_samples, seed)
         if np.any(samples <= 0):
             raise NonPositivePowerError(
                 "power uncertainty admits non-positive totals; narrow the intervals")

@@ -193,6 +193,11 @@ def attack_crosswalk() -> tuple[AttackCrosswalkRow, ...]:
     )
 
 
+@lru_cache(maxsize=1)
+def _crosswalk_by_id() -> dict[str, AttackCrosswalkRow]:
+    return {row.technique_id: row for row in attack_crosswalk()}
+
+
 def crosswalk(entry) -> list[AttackCrosswalkRow]:
     """Crosswalk rows for the technique ids an entry lists.
 
@@ -200,7 +205,7 @@ def crosswalk(entry) -> list[AttackCrosswalkRow]:
     and are skipped.
     """
     ids = getattr(entry, "attack_techniques", entry)
-    by_id = {row.technique_id: row for row in attack_crosswalk()}
+    by_id = _crosswalk_by_id()
     out = []
     for tid in ids:
         row = by_id.get(tid)

@@ -1,9 +1,15 @@
 """CLI contract: subcommands, exit codes, streams and output formats."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import spwkit
 
 from spwkit.cli import main
 from spwkit.register import COLUMNS
@@ -244,6 +250,26 @@ class TestScenario:
         code, _, err = run(capsys, "scenario", str(path))
         assert code == 2
         assert "env_factor" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("field", ["name", "label"])
+    def test_lone_surrogate_in_a_string(self, tmp_path, scenario_s1_path, field):
+        # A subprocess, because only a real stdout fails to encode the report.
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        if field == "label":
+            doc["strategies"][0]["controls"][0]["power"][0]["label"] = "\ud800"
+        else:
+            doc[field] = "\ud800"
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "SPW_REGISTER"}
+        env["PYTHONPATH"] = str(Path(spwkit.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "spwkit.cli", "scenario", str(path)],
+                              capture_output=True, env=env, timeout=60)
+        err = proc.stderr.decode("utf-8", "backslashreplace")
+        assert proc.returncode == 2, err
+        assert proc.stdout == b""
+        assert f"'{field}'" in err and "internal error" not in err
 
 
 class TestChecklist:

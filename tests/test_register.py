@@ -178,6 +178,19 @@ class TestLoading:
         with pytest.raises(BadFieldError, match="title"):
             loads(make_csv(row(title="")))
 
+    @pytest.mark.parametrize("cell, error", [
+        (dict(subsystem="payload"), BadFieldError),
+        (dict(stride="S;X"), BadStrideTokenError),
+        (dict(techniques="T1078;1078"), BadTechniqueIdError),
+        (dict(missions="availability;bogus"), BadFieldError),
+        (dict(vector="CVSS:3.1/AV:X"), BadFieldError),
+    ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else "")
+    def test_repeated_bad_cell_names_each_row(self, cell, error):
+        for row_id in ("A1", "B2"):
+            with pytest.raises(error, match=f"row {row_id}:") as exc_info:
+                loads(make_csv(row(id="Z9"), row(id=row_id, **cell)))
+            assert exc_info.value.row_id == row_id
+
     def test_multivalued_cells(self):
         reg = loads(make_csv(row(stride="S;T;E", missions="availability;other")))
         entry = reg.entries[0]

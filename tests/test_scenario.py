@@ -304,6 +304,23 @@ class TestEvaluateProperties:
         assert a.outcome("DSP").monte_carlo.spw_sigma != \
             b.outcome("DSP").monte_carlo.spw_sigma
 
+    # Full-precision Monte Carlo sigmas; the reports round to two decimals
+    # and cannot see a last-bit change in the sampler.
+    @pytest.mark.parametrize("fixture, seed, expected", [
+        ("scenario_s1_path", None, {"ECC": "2.337874936579809",
+                                    "RSA-2048": "0.7336447590719795"}),
+        ("scenario_s1_path", 3, {"ECC": "2.327407147260382",
+                                 "RSA-2048": "0.7333668991895242"}),
+        ("scenario_s2_path", None, {"Centralised": "0.08015169098434442",
+                                    "DSP": "0.14969306908506938"}),
+        ("scenario_s2_path", 3, {"Centralised": "0.08029617935175538",
+                                 "DSP": "0.14805177022567353"}),
+    ])
+    def test_monte_carlo_sigmas_pinned(self, request, fixture, seed, expected):
+        scenario = load_scenario(request.getfixturevalue(fixture))
+        result = evaluate(scenario, load_register(scenario.register_path), seed=seed)
+        assert {o.name: repr(o.monte_carlo.spw_sigma) for o in result.outcomes} == expected
+
     def test_ordering_invariant_under_uniform_power_rescale(self, tmp_scenario):
         def build(scale):
             return scenario_doc([

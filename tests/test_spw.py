@@ -1,9 +1,11 @@
 """The gain / power / per-watt / index calculus and its invariants."""
 
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spwkit.errors import (
     EmptyPowerModelError,
@@ -13,6 +15,7 @@ from spwkit.errors import (
     ZeroBaselineError,
 )
 from spwkit.spw import (
+    MONTE_CARLO_CHUNK,
     PowerComponent,
     PowerEstimate,
     SeiCriteria,
@@ -26,6 +29,7 @@ from spwkit.spw import (
     spw,
     spw_normalised,
 )
+from spwkit.spw import _power_samples
 
 
 def contribution(cvss, p, m, rrf, vuln_id="V1"):
@@ -211,6 +215,71 @@ class TestSpw:
         base = spw(sg, PowerEstimate(total, 0.0))
         scaled = spw(sg, PowerEstimate(total * k, 0.0))
         assert scaled.spw == pytest.approx(base.spw / k, rel=1e-12)
+
+
+MC = SigmaMethod.MONTE_CARLO
+
+
+@st.composite
+def sampler_inputs(draw):
+    """Components, and an n at or next to a chunk boundary for their count."""
+    k = draw(st.integers(min_value=1, max_value=64))
+    centres = draw(st.lists(st.floats(min_value=0.01, max_value=1000.0),
+                            min_size=k, max_size=k))
+    widths = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)),
+                           min_size=k, max_size=k))
+    rows = MONTE_CARLO_CHUNK // k
+    n = rows * draw(st.sampled_from([1, 2])) + draw(st.sampled_from([-1, 0, 1]))
+    return np.array(centres), np.array(widths), n
+
+
+class TestMonteCarloSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(sampler_inputs(), st.integers(min_value=0, max_value=2**64 - 1))
+    def test_chunked_draws_equal_one_uniform_call(self, inputs, seed):
+        centres, widths, n = inputs
+        reference = np.random.default_rng(seed).uniform(
+            centres - widths, centres + widths, size=(n, len(centres))).sum(axis=1)
+        assert _power_samples(centres, widths, n, seed).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_give_zero_sigma(self, n):
+        assert spw(6.48, PowerEstimate(0.18, 0.02), MC, n_samples=n).spw_sigma == 0.0
+
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(ValueError):
+            spw(6.48, PowerEstimate(0.18, 0.02), MC, n_samples=-1)
+
+    def test_interval_through_zero_rejected_across_chunks(self):
+        components = [PowerComponent("wide", 0.1, uncertainty=0.5)] + [
+            PowerComponent(f"c{i}", 1e-4) for i in range(7)]
+        with pytest.raises(NonPositivePowerError):
+            spw(1.0, operational_power(components), MC, components=components,
+                n_samples=3 * MONTE_CARLO_CHUNK // len(components), seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("power", [
+        (float("inf"), 1.0), (1.0, float("inf")), (1.0, float("nan")), (1e308, 1e308),
+    ])
+    def test_bare_estimate_with_non_finite_range(self, power):
+        with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+            spw(1.0, power, MC)
+
+    def test_bare_estimate_with_negative_width(self):
+        with pytest.raises(ValueError, match="high - low < 0"):
+            spw(1.0, (1.0, -0.5), MC)
+
+    def test_memory_is_linear_in_n(self):
+        components = [PowerComponent(f"c{i}", 1.0, uncertainty=0.1) for i in range(24)]
+        power = operational_power(components)
+        tracemalloc.start()
+        try:
+            spw(10.0, power, MC, components=components, n_samples=100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000  # one (n, k) float64 matrix alone is 19.2 MB
 
 
 class TestNormalisation:
