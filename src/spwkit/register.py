@@ -6,10 +6,11 @@ Register files are UTF-8 CSV (RFC 4180 quoting) with this exact header::
     mission_functions,description,preconditions,impact,mitigations
 
 Lines starting with ``#`` before the header are comments. Quoted cells
-may hold any line break; saved registers end rows with CRLF. Multi-valued
-cells (stride, attack_techniques, mission_functions) join tokens with
-``;``. A row may carry a vector, a declared score, or both; when both are
-present the vector is scored and must agree with the declared score.
+may hold any line break; saved registers end rows with CRLF. Files are
+read line by line: loading needs memory for the entries, not the text.
+Multi-valued cells (stride, attack_techniques, mission_functions) join
+tokens with ``;``. A row may carry a vector, a declared score, or both;
+when both are present the vector is scored and must agree with it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import dropwhile
 from pathlib import Path
 
 from . import cvss
@@ -47,7 +50,6 @@ BUNDLED_REGISTER = "register_42.csv"
 _ID_RE = re.compile(r"^[A-Za-z][0-9]+$")
 _TECHNIQUE_RE = re.compile(r"^T[0-9]{4}(\.[0-9]{3})?$")
 _SCORE_RE = re.compile(r"^[0-9]+\.[0-9]$")
-_COMMENT_LINES_RE = re.compile(r"(?:#[^\r\n]*(?:\r\n?|\n|$))*")
 
 
 @dataclass(frozen=True)
@@ -214,19 +216,20 @@ def _parse_row(cells: list[str], line_no: int) -> VulnerabilityEntry:
         preconditions=preconditions, impact=impact, mitigations=mitigations)
 
 
-def _records(text: str):
+def _records(lines: Iterable[str]):
     """(row number, cells) for each CSV record; the header is row 1."""
     row = 0
     try:
-        for row, cells in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        for row, cells in enumerate(csv.reader(lines), start=1):
             yield row, cells
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise RegisterError(f"row {row + 1}: {exc}") from None
 
 
-def loads(text: str, source: str = "<string>") -> Register:
-    """Parse register CSV content; every well-formed row is kept."""
-    records = _records(text[_COMMENT_LINES_RE.match(text).end():])
+def loads(text: str | Iterable[str], source: str = "<string>") -> Register:
+    """Parse register CSV given as one ``str`` or as an iterable of lines that keep their ends."""
+    lines = io.StringIO(text, newline="") if isinstance(text, str) else text
+    records = _records(dropwhile(lambda line: line.startswith("#"), lines))
     try:
         _, header = next(records)
     except StopIteration:
@@ -234,17 +237,13 @@ def loads(text: str, source: str = "<string>") -> Register:
     if tuple(h.strip() for h in header) != COLUMNS:
         missing = [c for c in COLUMNS if c not in header]
         unexpected = [c for c in header if c not in COLUMNS]
-        detail = []
-        if missing:
-            detail.append(f"missing {missing}")
-        if unexpected:
-            detail.append(f"unexpected {unexpected}")
+        detail = "; ".join(f"{kind} {names}" for kind, names in
+                           (("missing", missing), ("unexpected", unexpected)) if names)
         raise MissingColumnError(
-            "header does not match register schema: " + ("; ".join(detail) or "wrong column order"),
+            "header does not match register schema: " + (detail or "wrong column order"),
             column=missing[0] if missing else None)
 
-    entries: list[VulnerabilityEntry] = []
-    seen_ids: set[str] = set()
+    entries: dict[str, VulnerabilityEntry] = {}
     for line_no, cells in records:
         if not cells:
             continue
@@ -252,23 +251,31 @@ def loads(text: str, source: str = "<string>") -> Register:
             raise MissingColumnError(
                 f"row {line_no}: expected {len(COLUMNS)} fields, got {len(cells)}")
         entry = _parse_row(cells, line_no)
-        if entry.id in seen_ids:
+        if entry.id in entries:
             raise DuplicateIdError(f"duplicate id '{entry.id}'",
                                    row_id=entry.id, column="id")
-        seen_ids.add(entry.id)
-        entries.append(entry)
-    return Register(entries=entries, source_path=source)
+        entries[entry.id] = entry
+    return Register(entries=list(entries.values()), source_path=source)
 
 
 def load_register(path: str | Path) -> Register:
-    """Load and validate a register file."""
+    """Load and validate a register file, streaming its lines into ``loads``."""
     path = Path(path)
     try:
-        with path.open(encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, NUL in the path
+        fh = path.open(encoding="utf-8", newline="")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise RegisterError(f"cannot read register file {path}: {exc}") from exc
-    return loads(text, source=str(path))
+    with fh:
+        try:
+            return loads(fh, source=str(path))
+        except OSError as exc:
+            raise RegisterError(f"cannot read register file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # exc counts from the block being decoded
+            at, end = (fh.buffer.tell() - len(exc.object) + i for i in (exc.start, exc.end))
+            bad = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if end == at + 1
+                   else f"bytes in position {at}-{end - 1}")
+            raise RegisterError(f"cannot read register file {path}: '{exc.encoding}' codec "
+                                f"can't decode {bad}: {exc.reason}") from exc
 
 
 def load_bundled_register() -> Register:

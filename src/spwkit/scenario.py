@@ -43,6 +43,7 @@ different studies.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -142,7 +143,6 @@ class StrategyOutcome:
     """Everything computed for one strategy."""
 
     name: str
-    contributions: tuple[VulnContribution, ...]
     power: PowerEstimate
     first_order: SpwResult
     monte_carlo: SpwResult
@@ -200,7 +200,7 @@ def _object(doc, keys, where: str) -> dict:
     return doc
 
 
-def _typed(value, kind: type, key: str, where: str, lo=None, hi=None):
+def _typed(value, kind: type, key: str, where: str, lo=-math.inf, hi=math.inf):
     """``value`` checked as ``kind``; strings must encode as UTF-8 (JSON
     admits lone surrogate escapes, which no report could print), numbers
     must be finite, integral where ``kind`` is ``int``, and within the
@@ -222,20 +222,19 @@ def _typed(value, kind: type, key: str, where: str, lo=None, hi=None):
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise SchemaViolationError(f"{where}: '{key}' must be an integer, got {value}")
     value = kind(value)
-    if hi is not None and not lo <= value <= hi:
-        raise SchemaViolationError(f"{where}: {key}={value} outside [{lo}, {hi}]")
-    if lo is not None and value < lo:
-        raise SchemaViolationError(f"{where}: {key} must be >= {lo}, got {value}")
+    if not lo <= value <= hi:
+        raise SchemaViolationError(f"{where}: {key} must be >= {lo}, got {value}" if hi == math.inf
+                                   else f"{where}: {key}={value} outside [{lo}, {hi}]")
     return value
 
 
-def _require(mapping: dict, key: str, kind: type, where: str, lo=None, hi=None):
+def _require(mapping: dict, key: str, kind: type, where: str, lo=-math.inf, hi=math.inf):
     if key not in mapping:
         raise SchemaViolationError(f"{where}: missing key '{key}'")
     return _typed(mapping[key], kind, key, where, lo, hi)
 
 
-def _optional(mapping: dict, key: str, default, where: str, lo=None, hi=None):
+def _optional(mapping: dict, key: str, default, where: str, lo=-math.inf, hi=math.inf):
     if key not in mapping:
         return default
     return _typed(mapping[key], type(default), key, where, lo, hi)
@@ -394,55 +393,49 @@ def evaluate(scenario: ScenarioSpec, register: Register,
     """
     entries = check_targets_resolve(scenario, register)
     master_seed = scenario.seed if seed is None else seed
-    child_seeds = np.random.SeedSequence(master_seed).generate_state(
-        len(scenario.strategies))
+    seeds = np.random.SeedSequence(master_seed).generate_state(len(scenario.strategies))
+    child_seeds = dict(zip((s.name for s in scenario.strategies), seeds))
 
-    outcomes = []
-    for strategy, child_seed in zip(scenario.strategies, child_seeds):
+    def measure(strategy: StrategySpec, base: SpwResult | None = None) -> StrategyOutcome:
         rrf = strategy.effective_rrf()
-        contributions = tuple(
+        sg = security_gain([
             VulnContribution(
                 vuln_id=t.vuln_id, cvss=entries[t.vuln_id].cvss_score,
                 exploit_probability=t.exploit_probability,
                 mission_criticality=t.mission_criticality, rrf=rrf)
-            for t in strategy.targets)
-        sg = security_gain(contributions)
+            for t in strategy.targets])
         components = strategy.power_components()
         power = operational_power(components)
         first_order = spw(sg, power, SigmaMethod.FIRST_ORDER)
         monte_carlo = spw(sg, power, SigmaMethod.MONTE_CARLO,
                           components=components, n_samples=scenario.monte_carlo_n,
-                          seed=int(child_seed))
+                          seed=int(child_seeds[strategy.name]))
         criteria = SeiCriteria(
             spw_term=round(first_order.spw, SPW_DISPLAY_DECIMALS),
             latency_score=strategy.latency_score,
             storage_score=strategy.storage_score,
             complexity_score=strategy.complexity_score)
-        outcomes.append(StrategyOutcome(
-            name=strategy.name, contributions=contributions, power=power,
-            first_order=first_order, monte_carlo=monte_carlo,
+        return StrategyOutcome(
+            name=strategy.name, power=power, monte_carlo=monte_carlo,
+            first_order=replace(first_order, spw_normalised=spw_normalised(
+                first_order, base or first_order)),
             sei_value=sei(scenario.sei_weights, criteria),
-            rrf_composed=sum(1 for c in strategy.controls if c.rrf > 0) > 1))
+            rrf_composed=sum(1 for c in strategy.controls if c.rrf > 0) > 1)
 
-    by_name = {o.name: o for o in outcomes}
-    base = by_name[scenario.baseline_strategy]
-    comparisons = []
-    normalised_outcomes = []
-    for outcome in outcomes:
-        ratio = spw_normalised(outcome.first_order, base.first_order)
-        comparisons.append(StrategyComparison(
-            candidate=outcome.name,
-            spw_ratio=ratio,
+    base = measure(scenario.strategy(scenario.baseline_strategy))
+    outcomes = tuple(base if s.name == base.name else measure(s, base.first_order)
+                     for s in scenario.strategies)
+    comparisons = tuple(
+        StrategyComparison(
+            candidate=outcome.name, spw_ratio=outcome.first_order.spw_normalised,
             power_saving=1.0 - outcome.power.total / base.power.total,
             security_reduction=(base.sg - outcome.sg) / base.sg if base.sg else 0.0,
-            sei_ratio=outcome.sei_value / base.sei_value if base.sei_value else float("nan")))
-        normalised_outcomes.append(replace(
-            outcome, first_order=replace(outcome.first_order, spw_normalised=ratio)))
+            sei_ratio=outcome.sei_value / base.sei_value if base.sei_value else float("nan"))
+        for outcome in outcomes)
 
     return ComparisonReport(
         scenario_name=scenario.name, baseline=scenario.baseline_strategy,
-        outcomes=tuple(normalised_outcomes), comparisons=tuple(comparisons),
-        targets=tuple(entries.values()))
+        outcomes=outcomes, comparisons=comparisons, targets=tuple(entries.values()))
 
 
 def classify_targets(scenario: ScenarioSpec,

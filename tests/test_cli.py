@@ -68,6 +68,21 @@ class TestValidate:
         assert out == ""
         assert "latin1.csv" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("bad, shown", [
+        (b"\xff", "byte 0xff in position 70001:"),
+        (b"\xf0\x9f\x98(", "bytes in position 70001-70003:"),
+    ], ids=["one-byte", "cut-sequence"])
+    def test_undecodable_bytes_after_64_kb(self, capsys, tmp_path, bad, shown):
+        rows = "".join(f"A{i},t,comms,S,,,5.0,availability,,,,\n" for i in range(3000))
+        data = f"{HEADER}\n{rows}".encode("utf-8")
+        path = tmp_path / "late.csv"
+        path.write_bytes(data[:70_001] + bad + data[70_001:])
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "late.csv" in err and shown in err
+        assert "internal error" not in err
+
     def test_over_long_cell(self, capsys, tmp_path):
         bad = tmp_path / "long.csv"
         row = "A1,t,comms,S,,,5.0,availability," + "x" * 200_000 + ",,,"

@@ -1,6 +1,7 @@
 """Register loading, validation errors, lookups and round-tripping."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -106,6 +107,38 @@ class TestLoading:
     def test_comment_lines_skipped_at_any_line_end(self, end):
         text = f"# one{end}# two{end}" + make_csv(row()).replace("\n", end)
         assert loads(text) == loads(make_csv(row()))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_comment_lines_skipped_by_both_readers(self, tmp_path, end):
+        text = f"# one{end}# two{end}" + make_csv(row()).replace("\n", end)
+        path = tmp_path / "register.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert load_register(path) == loads(text) == loads(make_csv(row()))
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "# one\r# two", "#"])
+    def test_no_header_row(self, tmp_path, text):
+        path = tmp_path / "register.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        for read in (lambda: loads(text), lambda: load_register(path)):
+            with pytest.raises(MissingColumnError, match="no header row"):
+                read()
+
+    def test_memory_follows_the_entries(self, tmp_path):
+        """The file is streamed: the heap peak while loading stays near what
+        the loaded register keeps, however long the file's text is."""
+        path = tmp_path / "register.csv"
+        save_register(Register(entries=[
+            dataclasses.replace(BUNDLED.entries[i % len(BUNDLED)], id=f"V{i}")
+            for i in range(5000)]), path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            register = load_register(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(register) == 5000
+        assert peak - before < 1.5 * (kept - before)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(RegisterError):
@@ -261,3 +294,38 @@ class TestRoundTripProperties:
         path = tmp_path / "register.csv"
         save_register(register, path)
         assert load_register(path) == register
+
+
+COMMENTS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
+INSERTS = st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", "#", "# c\n", ";", "X1", "9.9"])
+
+
+@st.composite
+def register_texts(draw):
+    """Serialised registers behind leading comment lines, some with a few
+    characters inserted, which may break the CSV or the schema."""
+    text = serialize(draw(registers()))
+    for at, piece in draw(st.lists(st.tuples(st.integers(min_value=0), INSERTS), max_size=3)):
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at:]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return "".join(f"#{c}{end}" for c in draw(st.lists(COMMENTS, max_size=2))) + text
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the class and message of the error it raises."""
+    try:
+        return read()
+    except RegisterError as exc:
+        return type(exc), str(exc)
+
+
+class TestFileAndTextAgree:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(register_texts())
+    def test_load_register_matches_loads(self, tmp_path, text):
+        path = tmp_path / "register.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with path.open(encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        assert _outcome(lambda: load_register(path)) == _outcome(lambda: loads(text))

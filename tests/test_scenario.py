@@ -13,6 +13,7 @@ from spwkit.errors import (
 )
 from spwkit.register import load_register
 from spwkit.scenario import (
+    _typed,
     classify_targets,
     evaluate,
     load_scenario,
@@ -194,6 +195,15 @@ class TestValidation:
                            seed=-1)
         with pytest.raises(SchemaViolationError, match="seed must be >= 0"):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize("bounds, value, message", [
+        (dict(hi=1), 5.0, r"w: k=5.0 outside \[-inf, 1\]"),
+        (dict(lo=0), -1.0, r"w: k must be >= 0, got -1.0"),
+    ], ids=["hi-only", "lo-only"])
+    def test_bound_on_one_side(self, bounds, value, message):
+        with pytest.raises(SchemaViolationError, match=message):
+            _typed(value, float, "k", "w", **bounds)
+        assert _typed(0.5, float, "k", "w", **bounds) == 0.5
 
 
 @pytest.fixture(scope="module")
