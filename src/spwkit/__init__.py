@@ -9,7 +9,6 @@ from .cvss import BaseScore, CvssVector, Severity, base_score, parse_vector, sco
 from .register import (
     Register,
     VulnerabilityEntry,
-    filter_by_subsystem,
     load_bundled_register,
     load_register,
     save_register,
@@ -20,7 +19,6 @@ from .scenario import (
     ControlSpec,
     ScenarioSpec,
     StrategySpec,
-    classify_targets,
     evaluate,
     load_scenario,
 )
@@ -46,7 +44,6 @@ from .taxonomy import (
     Subsystem,
     classify_tier,
     crosswalk,
-    stride_examples,
 )
 
 __version__ = "0.1.0"
@@ -54,15 +51,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseScore", "CvssVector", "Severity", "base_score", "parse_vector",
     "score_string",
-    "Register", "VulnerabilityEntry", "filter_by_subsystem",
-    "load_bundled_register", "load_register", "save_register", "serialize",
-    "ComparisonReport", "ControlSpec", "ScenarioSpec", "StrategySpec",
-    "classify_targets", "evaluate", "load_scenario",
+    "Register", "VulnerabilityEntry", "load_bundled_register", "load_register",
+    "save_register", "serialize",
+    "ComparisonReport", "ControlSpec", "ScenarioSpec", "StrategySpec", "evaluate",
+    "load_scenario",
     "PowerComponent", "PowerEstimate", "SeiCriteria", "SeiWeights",
     "SigmaMethod", "SpwResult", "VulnContribution", "operational_power",
     "security_gain", "sei", "spw", "spw_normalised",
     "SubsystemSummary", "severity_distribution", "summarize",
     "MissionFunction", "RiskTier", "Stride", "Subsystem", "classify_tier",
-    "crosswalk", "stride_examples",
-    "__version__",
+    "crosswalk", "__version__",
 ]

@@ -100,15 +100,6 @@ class Register:
     def _index(self) -> dict[str, VulnerabilityEntry]:
         return {e.id: e for e in self.entries}
 
-    def ids(self) -> list[str]:
-        return [e.id for e in self.entries]
-
-    def subsystem_counts(self) -> dict[Subsystem, int]:
-        counts: dict[Subsystem, int] = {}
-        for e in self.entries:
-            counts[e.subsystem] = counts.get(e.subsystem, 0) + 1
-        return counts
-
 
 def _split_multi(cell: str) -> list[str]:
     return [tok.strip() for tok in cell.split(";") if tok.strip()]
@@ -310,7 +301,3 @@ def serialize(register: Register) -> str:
 def save_register(register: Register, path: str | Path) -> None:
     Path(path).write_text(serialize(register), encoding="utf-8", newline="")
 
-
-def filter_by_subsystem(register: Register, subsystem: Subsystem) -> list[VulnerabilityEntry]:
-    """Entries for one subsystem, in register order."""
-    return [e for e in register.entries if e.subsystem == subsystem]

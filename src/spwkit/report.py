@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
+from .errors import SpwkitError
 from .register import Register
 from .scenario import ComparisonReport, ScenarioSpec
 from .stats import severity_distribution, summarize
@@ -238,13 +239,16 @@ def scenario_report(scenario: ScenarioSpec, report: ComparisonReport,
     return doc
 
 
-def _load_reference_figures() -> dict:
+def _reference_figures(scenario_name: str) -> dict | None:
     text = (resources.files("spwkit") / "data" / REFERENCE_FIGURES).read_text(
         encoding="utf-8")
-    return json.loads(text)
+    return json.loads(text).get(scenario_name)
 
 
 def _computed_quantity(kind: str, strategy: str, report: ComparisonReport) -> float:
+    if all(o.name != strategy for o in report.outcomes):
+        raise SpwkitError(f"published figures for '{report.scenario_name}' name strategy "
+                          f"'{strategy}', which the scenario does not have")
     if kind in ("sg", "p_operational", "spw", "spw_sigma", "sei"):
         o = report.outcome(strategy)
         return {
@@ -263,14 +267,9 @@ def _computed_quantity(kind: str, strategy: str, report: ComparisonReport) -> fl
     }[kind]
 
 
-def paper_check_rows(report: ComparisonReport) -> list[tuple[str, str, str, str]] | None:
-    """(quantity, computed, published, status) rows, or None if no figures
-    are on file for this scenario."""
-    figures = _load_reference_figures().get(report.scenario_name)
-    if figures is None:
-        return None
+def _check_rows(checks: list[dict], report: ComparisonReport) -> list[tuple[str, str, str, str]]:
     rows = []
-    for check in figures["checks"]:
+    for check in checks:
         kind = check["kind"]
         strategy = check.get("strategy", "")
         decimals = check["decimals"]
@@ -289,14 +288,20 @@ def paper_check_rows(report: ComparisonReport) -> list[tuple[str, str, str, str]
     return rows
 
 
+def paper_check_rows(report: ComparisonReport) -> list[tuple[str, str, str, str]] | None:
+    """(quantity, computed, published, status) rows, or None if no figures
+    are on file for this scenario."""
+    figures = _reference_figures(report.scenario_name)
+    return None if figures is None else _check_rows(figures["checks"], report)
+
+
 def _append_paper_check(doc: ReportDocument, report: ComparisonReport) -> None:
-    rows = paper_check_rows(report)
-    if rows is None:
+    figures = _reference_figures(report.scenario_name)
+    if figures is None:
         doc.add_prose("Published-figure check",
                       "No published reference figures on file for this scenario.")
         return
-    doc.add_table("Published-figure check",
-                  ("Quantity", "Computed", "Published", "Status"), rows)
-    figures = _load_reference_figures()[report.scenario_name]
+    doc.add_table("Published-figure check", ("Quantity", "Computed", "Published", "Status"),
+                  _check_rows(figures["checks"], report))
     for note in figures.get("notes", []):
         doc.add_prose("Note", note)

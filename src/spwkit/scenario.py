@@ -46,7 +46,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +54,11 @@ import numpy as np
 from .errors import (
     DuplicatePowerLabelWarning,
     DuplicateStrategyNameError,
+    NonPositivePowerError,
     SchemaViolationError,
     UnknownBaselineError,
     UnresolvedVulnIdError,
+    ZeroBaselineError,
 )
 from .register import Register, VulnerabilityEntry, load_register
 from .spw import (
@@ -73,7 +75,6 @@ from .spw import (
     spw,
     spw_normalised,
 )
-from .taxonomy import RiskTier, classify_tier
 
 DEFAULT_MONTE_CARLO_N = 10_000
 MAX_MONTE_CARLO_N = 1_000_000
@@ -396,7 +397,9 @@ def evaluate(scenario: ScenarioSpec, register: Register,
     seeds = np.random.SeedSequence(master_seed).generate_state(len(scenario.strategies))
     child_seeds = dict(zip((s.name for s in scenario.strategies), seeds))
 
-    def measure(strategy: StrategySpec, base: SpwResult | None = None) -> StrategyOutcome:
+    def measure(strategy: StrategySpec, base: StrategyOutcome | None = None
+                ) -> tuple[StrategyOutcome, StrategyComparison]:
+        """The strategy's outcome and its comparison with ``base`` (itself if None)."""
         rrf = strategy.effective_rrf()
         sg = security_gain([
             VulnContribution(
@@ -406,40 +409,36 @@ def evaluate(scenario: ScenarioSpec, register: Register,
             for t in strategy.targets])
         components = strategy.power_components()
         power = operational_power(components)
-        first_order = spw(sg, power, SigmaMethod.FIRST_ORDER)
-        monte_carlo = spw(sg, power, SigmaMethod.MONTE_CARLO,
-                          components=components, n_samples=scenario.monte_carlo_n,
-                          seed=int(child_seeds[strategy.name]))
+        try:
+            first_order = spw(sg, power, SigmaMethod.FIRST_ORDER)
+            monte_carlo = spw(sg, power, SigmaMethod.MONTE_CARLO,
+                              components=components, n_samples=scenario.monte_carlo_n,
+                              seed=int(child_seeds[strategy.name]))
+            spw_ratio = spw_normalised(first_order, base.first_order if base else first_order)
+        except (NonPositivePowerError, ZeroBaselineError) as exc:
+            raise type(exc)(f"strategy '{strategy.name}': {exc}") from None
         criteria = SeiCriteria(
             spw_term=round(first_order.spw, SPW_DISPLAY_DECIMALS),
             latency_score=strategy.latency_score,
             storage_score=strategy.storage_score,
             complexity_score=strategy.complexity_score)
-        return StrategyOutcome(
-            name=strategy.name, power=power, monte_carlo=monte_carlo,
-            first_order=replace(first_order, spw_normalised=spw_normalised(
-                first_order, base or first_order)),
-            sei_value=sei(scenario.sei_weights, criteria),
+        outcome = StrategyOutcome(
+            name=strategy.name, power=power, first_order=first_order,
+            monte_carlo=monte_carlo, sei_value=sei(scenario.sei_weights, criteria),
             rrf_composed=sum(1 for c in strategy.controls if c.rrf > 0) > 1)
-
-    base = measure(scenario.strategy(scenario.baseline_strategy))
-    outcomes = tuple(base if s.name == base.name else measure(s, base.first_order)
-                     for s in scenario.strategies)
-    comparisons = tuple(
-        StrategyComparison(
-            candidate=outcome.name, spw_ratio=outcome.first_order.spw_normalised,
-            power_saving=1.0 - outcome.power.total / base.power.total,
-            security_reduction=(base.sg - outcome.sg) / base.sg if base.sg else 0.0,
+        base = base or outcome
+        return outcome, StrategyComparison(
+            candidate=strategy.name, spw_ratio=spw_ratio,
+            power_saving=1.0 - power.total / base.power.total,
+            security_reduction=(base.sg - sg) / base.sg if base.sg else 0.0,
             sei_ratio=outcome.sei_value / base.sei_value if base.sei_value else float("nan"))
-        for outcome in outcomes)
 
+    # The baseline goes first, so its errors win over those of earlier-listed strategies.
+    base = measure(scenario.strategy(scenario.baseline_strategy))
+    measured = [base if s.name == base[0].name else measure(s, base[0])
+                for s in scenario.strategies]
     return ComparisonReport(
         scenario_name=scenario.name, baseline=scenario.baseline_strategy,
-        outcomes=outcomes, comparisons=comparisons, targets=tuple(entries.values()))
+        outcomes=tuple(o for o, _ in measured), comparisons=tuple(c for _, c in measured),
+        targets=tuple(entries.values()))
 
-
-def classify_targets(scenario: ScenarioSpec,
-                     register: Register) -> list[tuple[str, RiskTier]]:
-    """Tier every targeted register entry (deduplicated, first-seen order)."""
-    return [(vuln_id, classify_tier(entry))
-            for vuln_id, entry in check_targets_resolve(scenario, register).items()]

@@ -9,10 +9,16 @@ The core quantities::
     spw_norm    = spw_candidate / spw_baseline
     index (SEI) = alpha*spw_term + beta*latency + gamma*storage + delta*complexity
 
-Sigma on SpW is this toolkit's own estimate (first-order relative
-propagation, or seeded Monte Carlo over per-component uniform intervals);
-published uncertainty figures for the modelled scenarios are not derivable
-from their stated inputs and are only ever shown as reference values.
+Sigma on SpW is this toolkit's own estimate, in one of two senses. The
+first-order sigma, ``spw * sum(u) / power``, is a worst-case relative
+half-width: the summed component half-widths ``u`` carried over to the
+ratio. The Monte Carlo sigma is the sample standard deviation of
+``gain / power`` over seeded draws, each component uniform on its
+interval. A uniform has standard deviation ``u / sqrt(3)``, so for a
+single component the two differ by about sqrt(3) (S1 ECC: 4.00 against
+2.34). Published uncertainty figures for the modelled scenarios are not
+derivable from their stated inputs and are only ever shown as reference
+values.
 
 The Monte Carlo sampler fills its ``n`` power totals chunk by chunk, so
 memory is O(n) rather than O(n * k) for ``k`` components, and its draws are
@@ -112,11 +118,8 @@ class SigmaMethod(Enum):
 @dataclass(frozen=True)
 class SpwResult:
     sg: float
-    p_operational: float
-    p_uncertainty: float
     spw: float
     spw_sigma: float
-    spw_normalised: float | None = None
 
 
 @dataclass(frozen=True)
@@ -223,11 +226,11 @@ def spw(
     """Security gain per operational watt, with a sigma band.
 
     First-order sigma propagates the relative power uncertainty:
-    ``spw * (u / total)``. Monte Carlo draws each power component total
-    uniformly from ``[total - u, total + u]`` (independently, seeded) and
-    reports the sample standard deviation of ``sg / power``; when no
-    component list is given the aggregate estimate is treated as a single
-    component.
+    ``spw * (u / total)``, a worst-case half-width. Monte Carlo draws each
+    power component total uniformly from ``[total - u, total + u]``
+    (independently, seeded) and reports the sample standard deviation of
+    ``sg / power``; when no component list is given the aggregate estimate
+    is treated as a single component.
     """
     total, uncertainty = power
     if total <= 0:
@@ -249,8 +252,7 @@ def spw(
                 "power uncertainty admits non-positive totals; narrow the intervals")
         sigma = float(np.std(sg / samples, ddof=1)) if n_samples > 1 else 0.0
 
-    return SpwResult(sg=sg, p_operational=total, p_uncertainty=uncertainty,
-                     spw=ratio, spw_sigma=sigma)
+    return SpwResult(sg=sg, spw=ratio, spw_sigma=sigma)
 
 
 def spw_normalised(candidate: SpwResult, baseline: SpwResult) -> float:
@@ -271,20 +273,3 @@ def sei(weights: SeiWeights, criteria: SeiCriteria) -> float:
         + weights.delta * criteria.complexity_score
     )
 
-
-def sei_normalised(weights: SeiWeights, criteria: SeiCriteria,
-                   spw_scale: float) -> float:
-    """Index variant with the SpW term rescaled by a caller-chosen scale.
-
-    Opt-in alternative for callers that want all four terms in [0, 1];
-    never the default.
-    """
-    if spw_scale <= 0 or not math.isfinite(spw_scale):
-        raise FactorOutOfRangeError(f"spw_scale={spw_scale} must be finite and > 0")
-    rescaled = SeiCriteria(
-        spw_term=criteria.spw_term / spw_scale,
-        latency_score=criteria.latency_score,
-        storage_score=criteria.storage_score,
-        complexity_score=criteria.complexity_score,
-    )
-    return sei(weights, rescaled)

@@ -179,11 +179,6 @@ def stride_table() -> tuple[StrideMappingRow, ...]:
     )
 
 
-def stride_examples(component: Subsystem) -> list[StrideMappingRow]:
-    """Mapped threats for one component, in table order."""
-    return [row for row in stride_table() if row.component == component]
-
-
 @lru_cache(maxsize=1)
 def attack_crosswalk() -> tuple[AttackCrosswalkRow, ...]:
     """The bundled register-condition to ATT&CK technique crosswalk."""

@@ -199,6 +199,19 @@ class TestScenario:
         # the published index value that the weighted sum does not reproduce
         assert "1.666" in out and "1.704" in out
 
+    def test_paper_check_strategy_missing_from_scenario(self, capsys, tmp_path,
+                                                        scenario_s1_path):
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        doc["strategies"][0]["name"] = "ECC-v2"
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, "scenario", str(path))[0] == 0
+        code, out, err = run(capsys, "scenario", str(path), "--paper-check")
+        assert code == 2
+        assert out == ""
+        assert "'ECC'" in err and "internal error" not in err
+
     def test_seed_determinism(self, capsys, scenario_s2_path):
         _, first, _ = run(capsys, "scenario", str(scenario_s2_path), "--seed", "5")
         _, second, _ = run(capsys, "scenario", str(scenario_s2_path), "--seed", "5")

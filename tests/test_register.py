@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -20,7 +21,6 @@ from spwkit.errors import (
 from spwkit.register import (
     COLUMNS,
     Register,
-    filter_by_subsystem,
     load_bundled_register,
     load_register,
     loads,
@@ -54,7 +54,7 @@ class TestBundledRegister:
         assert len(register) == 42
 
     def test_subsystem_counts(self, register):
-        assert register.subsystem_counts() == {
+        assert Counter(e.subsystem for e in register) == {
             Subsystem.GROUND_SEGMENT: 10,
             Subsystem.ONBOARD_COMPUTING: 11,
             Subsystem.COMMUNICATIONS: 12,
@@ -84,20 +84,20 @@ class TestBundledRegister:
         assert listed <= known
 
     def test_filter_by_subsystem(self, register):
-        assert len(filter_by_subsystem(register, Subsystem.COMMUNICATIONS)) == 12
-        assert len(filter_by_subsystem(register, Subsystem.GROUND_SEGMENT)) == 10
+        subsystems = [e.subsystem for e in register]
+        assert subsystems.count(Subsystem.COMMUNICATIONS) == 12
+        assert subsystems.count(Subsystem.GROUND_SEGMENT) == 10
 
     def test_filter_preserves_order(self, register):
-        comms = filter_by_subsystem(register, Subsystem.COMMUNICATIONS)
-        positions = [register.ids().index(e.id) for e in comms]
-        assert positions == sorted(positions)
+        comms = [e.id for e in register if e.subsystem == Subsystem.COMMUNICATIONS]
+        assert comms == [f"C{i}" for i in range(1, 13)]
 
 
 class TestLoading:
     def test_empty_file_with_header(self):
         reg = loads(HEADER + "\n")
         assert len(reg) == 0
-        assert filter_by_subsystem(reg, Subsystem.COMMUNICATIONS) == []
+        assert list(reg) == []
 
     def test_comment_lines_skipped(self):
         reg = loads("# one\n# two\n" + make_csv(row()))
@@ -150,7 +150,7 @@ class TestLoading:
 
     def test_no_silent_drops(self):
         reg = loads(make_csv(row(id="A1"), row(id="A2"), row(id="A3")))
-        assert reg.ids() == ["A1", "A2", "A3"]
+        assert [e.id for e in reg] == ["A1", "A2", "A3"]
 
     def test_duplicate_id(self):
         with pytest.raises(DuplicateIdError, match="A1"):

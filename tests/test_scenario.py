@@ -7,19 +7,20 @@ import pytest
 from spwkit.errors import (
     DuplicatePowerLabelWarning,
     DuplicateStrategyNameError,
+    NonPositivePowerError,
     SchemaViolationError,
     UnknownBaselineError,
     UnresolvedVulnIdError,
+    ZeroBaselineError,
 )
 from spwkit.register import load_register
 from spwkit.scenario import (
     _typed,
-    classify_targets,
     evaluate,
     load_scenario,
     parse_scenario,
 )
-from spwkit.taxonomy import RiskTier
+from spwkit.taxonomy import RiskTier, classify_tier
 
 
 def strategy_doc(name, rrf=0.5, p_base=1.0, targets=("C1",), controls=None,
@@ -239,10 +240,6 @@ class TestEvaluateS1:
     def test_power_saving(self, result):
         assert result.comparison("ECC").power_saving == pytest.approx(0.6538, abs=1e-4)
 
-    def test_normalised_field_filled(self, result):
-        assert result.outcome("ECC").first_order.spw_normalised == \
-            result.comparison("ECC").spw_ratio
-
 
 class TestEvaluateS2:
     @pytest.fixture()
@@ -391,25 +388,26 @@ class TestEvaluateProperties:
         assert result.outcome("multi").power.total == pytest.approx(3.0)
 
 
+def target_tiers(path):
+    """(id, tier) of every targeted entry of the scenario at ``path``, first-seen order."""
+    scenario = load_scenario(path)
+    targets = evaluate(scenario, load_register(scenario.register_path)).targets
+    return [(e.id, classify_tier(e)) for e in targets]
+
+
 class TestClassifyTargets:
     def test_s1_target_is_high(self, scenario_s1_path):
-        scenario = load_scenario(scenario_s1_path)
-        register = load_register(scenario.register_path)
-        assert classify_targets(scenario, register) == [("C1", RiskTier.HIGH)]
+        assert target_tiers(scenario_s1_path) == [("C1", RiskTier.HIGH)]
 
     def test_s2_targets_all_high(self, scenario_s2_path):
-        scenario = load_scenario(scenario_s2_path)
-        register = load_register(scenario.register_path)
-        tiers = dict(classify_targets(scenario, register))
+        tiers = dict(target_tiers(scenario_s2_path))
         assert tiers == {"N1": RiskTier.HIGH, "N5": RiskTier.HIGH,
                          "O2": RiskTier.HIGH}
 
     def test_availability_only_target_is_low(self, tmp_scenario):
         path = tmp_scenario(scenario_doc([
             strategy_doc("a", targets=("C3",)), strategy_doc("b", targets=("C3",))]))
-        scenario = load_scenario(path)
-        register = load_register(scenario.register_path)
-        assert classify_targets(scenario, register) == [("C3", RiskTier.LOW)]
+        assert target_tiers(path) == [("C3", RiskTier.LOW)]
 
     def test_evaluation_carries_targets_first_seen(self, tmp_scenario):
         path = tmp_scenario(scenario_doc([
@@ -424,5 +422,41 @@ class TestClassifyTargets:
         doc = scenario_doc([strategy_doc("a", targets=("Z9",)), strategy_doc("b")],
                            register="r.csv")
         scenario = parse_scenario(doc)
-        with pytest.raises(UnresolvedVulnIdError):
-            classify_targets(scenario, register)
+        with pytest.raises(UnresolvedVulnIdError, match="'Z9'"):
+            evaluate(scenario, register)
+
+
+def idle_power(duty_cycle=1.0, uncertainty_w=0.0):
+    """One control whose single power component is 1 W scaled by ``duty_cycle``."""
+    return [{"id": "CTL", "rrf": 0.5, "power": [
+        {"label": "load", "p_base_w": 1.0, "duty_cycle": duty_cycle,
+         "uncertainty_w": uncertainty_w}]}]
+
+
+class TestEvaluateErrors:
+    """Errors raised while evaluating name the strategy they come from."""
+
+    def evaluate_doc(self, tmp_scenario, strategies, baseline):
+        scenario = load_scenario(tmp_scenario(scenario_doc(strategies, baseline=baseline)))
+        return evaluate(scenario, load_register(scenario.register_path))
+
+    def test_zero_operational_power(self, tmp_scenario):
+        strategies = [strategy_doc("base"), strategy_doc("off", controls=idle_power(0.0))]
+        with pytest.raises(NonPositivePowerError,
+                           match=r"^strategy 'off': operational power 0\.0 W must be > 0"):
+            self.evaluate_doc(tmp_scenario, strategies, "base")
+
+    def test_interval_through_zero(self, tmp_scenario):
+        strategies = [strategy_doc("base"),
+                      strategy_doc("wide", controls=idle_power(uncertainty_w=2.0))]
+        with pytest.raises(NonPositivePowerError,
+                           match="^strategy 'wide': power uncertainty admits non-positive"):
+            self.evaluate_doc(tmp_scenario, strategies, "base")
+
+    def test_zero_baseline_reported_before_earlier_strategies(self, tmp_scenario):
+        unexploitable = strategy_doc("base")
+        for target in unexploitable["targets"]:
+            target["p"] = 0.0
+        strategies = [strategy_doc("off", controls=idle_power(0.0)), unexploitable]
+        with pytest.raises(ZeroBaselineError, match="^strategy 'base': baseline SpW must be > 0"):
+            self.evaluate_doc(tmp_scenario, strategies, "base")

@@ -1,5 +1,6 @@
 """The gain / power / per-watt / index calculus and its invariants."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from spwkit.spw import (
     operational_power,
     security_gain,
     sei,
-    sei_normalised,
     spw,
     spw_normalised,
 )
@@ -180,6 +180,21 @@ class TestSpw:
             for seed in (101, 202)
         ]
         assert abs(sigmas[0] - sigmas[1]) / sigmas[0] < 0.05
+
+    @pytest.mark.parametrize("sg, centre, width", [(6.48, 0.18, 0.02), (6.84, 0.52, 0.05)],
+                             ids=["S1-ECC", "S1-RSA-2048"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monte_carlo_matches_closed_form_for_one_component(self, sg, centre, width, seed):
+        """Power uniform on [a, b] gives sd(sg / P) = sg * sqrt(1/(ab) - (ln(b/a)/(b-a))^2);
+        the sample sd must lie within 5 standard errors of it."""
+        n = 20_000
+        a, b = centre - width, centre + width
+        exact = sg * math.sqrt(1 / (a * b) - (math.log(b / a) / (b - a)) ** 2)
+        x = sg / _power_samples(np.array([centre]), np.array([width]), n, seed)  # spw's draws
+        kurtosis = np.mean((x - x.mean()) ** 4) / np.var(x) ** 2
+        standard_error = exact * math.sqrt((kurtosis - 1) / (4 * (n - 1)))
+        result = spw(sg, (centre, width), SigmaMethod.MONTE_CARLO, n_samples=n, seed=seed)
+        assert abs(result.spw_sigma - exact) < 5 * standard_error
 
     def test_monte_carlo_per_component_sampling(self):
         components = (
@@ -341,13 +356,3 @@ class TestSei:
         # a per-watt magnitude above 1 passes through unscaled
         value = sei(SeiWeights(0.5, 0.5, 0.0, 0.0), SeiCriteria(36.0, 0.0, 0.0, 0.0))
         assert value == pytest.approx(18.0)
-
-    def test_normalised_variant_is_opt_in(self):
-        weights = SeiWeights(0.4, 0.3, 0.2, 0.1)
-        criteria = SeiCriteria(3.16, 0.8, 0.7, 0.6)
-        rescaled = sei_normalised(weights, criteria, spw_scale=3.16)
-        assert rescaled == pytest.approx(0.4 * 1.0 + 0.24 + 0.14 + 0.06)
-
-    def test_normalised_variant_rejects_bad_scale(self):
-        with pytest.raises(FactorOutOfRangeError):
-            sei_normalised(SeiWeights(1, 0, 0, 0), SeiCriteria(1, 0, 0, 0), 0.0)

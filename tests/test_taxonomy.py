@@ -13,9 +13,12 @@ from spwkit.taxonomy import (
     attack_crosswalk,
     classify_tier,
     crosswalk,
-    stride_examples,
     stride_table,
 )
+
+def stride_rows(component):
+    return [row for row in stride_table() if row.component == component]
+
 
 HIGH_TRIGGERS = {MissionFunction.TELEMETRY_INTEGRITY,
                  MissionFunction.COMMAND_INTEGRITY,
@@ -63,17 +66,17 @@ class TestStrideTable:
         ]
 
     def test_communications_examples(self):
-        rows = stride_examples(Subsystem.COMMUNICATIONS)
+        rows = stride_rows(Subsystem.COMMUNICATIONS)
         assert [r.threat for r in rows] == [Stride.INFORMATION_DISCLOSURE,
                                             Stride.DENIAL_OF_SERVICE,
                                             Stride.SPOOFING]
 
     def test_network_examples(self):
-        rows = stride_examples(Subsystem.NETWORK_CONSTELLATION)
+        rows = stride_rows(Subsystem.NETWORK_CONSTELLATION)
         assert [r.threat for r in rows] == [Stride.SPOOFING, Stride.DENIAL_OF_SERVICE]
 
     def test_ground_examples_include_elevation(self):
-        rows = stride_examples(Subsystem.GROUND_SEGMENT)
+        rows = stride_rows(Subsystem.GROUND_SEGMENT)
         assert len(rows) == 3
         assert Stride.ELEVATION_OF_PRIVILEGE in {r.threat for r in rows}
 
