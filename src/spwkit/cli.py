@@ -61,21 +61,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a register file")
+    p.set_defaults(handler=cmd_validate)
     p.add_argument("register", nargs="?", help=f"register CSV (default: ${REGISTER_ENV})")
 
     p = sub.add_parser("score", help="score a CVSS v3.1 vector string")
+    p.set_defaults(handler=cmd_score)
     p.add_argument("vector", help="vector, e.g. CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H")
 
     p = sub.add_parser("classify", parents=[output],
                        help="tier-classify every register entry")
+    p.set_defaults(handler=cmd_classify)
     p.add_argument("register", nargs="?", help=f"register CSV (default: ${REGISTER_ENV})")
 
     p = sub.add_parser("stats", parents=[output],
                        help="per-subsystem severity summary")
+    p.set_defaults(handler=cmd_stats)
     p.add_argument("register", nargs="?", help=f"register CSV (default: ${REGISTER_ENV})")
 
     p = sub.add_parser("scenario", parents=[output],
                        help="evaluate a scenario file and report the comparison")
+    p.set_defaults(handler=cmd_scenario)
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--seed", type=_seed, default=None,
                    help="override the scenario's Monte Carlo seed")
@@ -83,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append a comparison of computed values against the "
                         "published reference figures bundled for this scenario")
 
-    sub.add_parser("checklist", parents=[output],
-                   help="emit the supply-chain baseline practice checklist")
+    p = sub.add_parser("checklist", parents=[output],
+                       help="emit the supply-chain baseline practice checklist")
+    p.set_defaults(handler=cmd_checklist)
     return parser
 
 
@@ -138,20 +144,10 @@ def cmd_checklist(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "score": cmd_score,
-    "classify": cmd_classify,
-    "stats": cmd_stats,
-    "scenario": cmd_scenario,
-    "checklist": cmd_checklist,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (SpwkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

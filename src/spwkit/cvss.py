@@ -95,22 +95,19 @@ def parse_vector(text: str) -> CvssVector:
     """Parse a v3.1 vector string; metric order is free, duplicates rejected."""
     segments = text.strip().split("/")
     if segments[0] != PREFIX:
-        raise BadPrefixError(
-            f"vector must start with '{PREFIX}/', got '{segments[0]}'",
-            segment=segments[0])
+        raise BadPrefixError(f"vector must start with '{PREFIX}/', got '{segments[0]}'")
     seen: dict[str, str] = {}
     for seg in segments[1:]:
         key, sep, value = seg.partition(":")
         if not sep:
-            raise UnknownMetricError(f"malformed segment '{seg}'", segment=seg)
+            raise UnknownMetricError(f"malformed segment '{seg}'")
         if key not in ALLOWED:
-            raise UnknownMetricError(f"unknown metric '{key}' in '{seg}'", segment=seg)
+            raise UnknownMetricError(f"unknown metric '{key}' in '{seg}'")
         if key in seen:
-            raise DuplicateMetricError(f"metric '{key}' appears twice", segment=seg)
+            raise DuplicateMetricError(f"metric '{key}' appears twice")
         if value not in ALLOWED[key]:
             raise BadValueError(
-                f"value '{value}' not allowed for {key} (one of {'/'.join(ALLOWED[key])})",
-                segment=seg)
+                f"value '{value}' not allowed for {key} (one of {'/'.join(ALLOWED[key])})")
         seen[key] = value
     missing = [m for m in METRIC_ORDER if m not in seen]
     if missing:

@@ -10,10 +10,6 @@ class SpwkitError(Exception):
 class VectorError(SpwkitError, ValueError):
     """A CVSS vector string could not be parsed."""
 
-    def __init__(self, message, segment=None):
-        super().__init__(message)
-        self.segment = segment
-
 
 class BadPrefixError(VectorError):
     """Vector string does not start with the required version prefix."""

@@ -20,7 +20,7 @@ import io
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from itertools import dropwhile
 from pathlib import Path
@@ -69,23 +69,30 @@ class VulnerabilityEntry:
     impact: str = ""
     mitigations: str = ""
 
-    @property
-    def severity(self) -> cvss.Severity:
-        return cvss.severity_for(self.cvss_score)
 
-
-@dataclass
+@dataclass(frozen=True)
 class Register:
-    """An ordered, validated collection of entries.
+    """An ordered, validated collection of entries with unique ids.
 
-    Immutable by convention after load; safe to share across tasks.
-    ``get`` looks ids up in an index built on its first call, so
-    ``entries`` must not be mutated after that. ``source_path`` is
-    provenance only and excluded from equality.
+    Frozen, so safe to share across tasks. ``entries`` may be given as any
+    iterable and is kept as a tuple; a repeated id raises
+    ``DuplicateIdError``. ``source_path`` is provenance only and excluded
+    from equality.
     """
 
-    entries: list[VulnerabilityEntry]
+    entries: tuple[VulnerabilityEntry, ...]
     source_path: str = field(default="", compare=False)
+    _index: dict[str, VulnerabilityEntry] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index: dict[str, VulnerabilityEntry] = {}
+        for entry in self.entries:
+            if entry.id in index:
+                raise DuplicateIdError(f"duplicate id '{entry.id}'",
+                                       row_id=entry.id, column="id")
+            index[entry.id] = entry
+        object.__setattr__(self, "entries", tuple(index.values()))
+        object.__setattr__(self, "_index", index)
 
     def __len__(self):
         return len(self.entries)
@@ -95,10 +102,6 @@ class Register:
 
     def get(self, entry_id: str) -> VulnerabilityEntry | None:
         return self._index.get(entry_id)
-
-    @cached_property
-    def _index(self) -> dict[str, VulnerabilityEntry]:
-        return {e.id: e for e in self.entries}
 
 
 def _split_multi(cell: str) -> list[str]:
@@ -234,19 +237,15 @@ def loads(text: str | Iterable[str], source: str = "<string>") -> Register:
             "header does not match register schema: " + (detail or "wrong column order"),
             column=missing[0] if missing else None)
 
-    entries: dict[str, VulnerabilityEntry] = {}
+    entries = []
     for line_no, cells in records:
         if not cells:
             continue
         if len(cells) != len(COLUMNS):
             raise MissingColumnError(
                 f"row {line_no}: expected {len(COLUMNS)} fields, got {len(cells)}")
-        entry = _parse_row(cells, line_no)
-        if entry.id in entries:
-            raise DuplicateIdError(f"duplicate id '{entry.id}'",
-                                   row_id=entry.id, column="id")
-        entries[entry.id] = entry
-    return Register(entries=list(entries.values()), source_path=source)
+        entries.append(_parse_row(cells, line_no))
+    return Register(entries=entries, source_path=source)
 
 
 def load_register(path: str | Path) -> Register:

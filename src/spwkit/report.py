@@ -246,24 +246,25 @@ def _reference_figures(scenario_name: str) -> dict | None:
 
 
 def _computed_quantity(kind: str, strategy: str, report: ComparisonReport) -> float:
-    if all(o.name != strategy for o in report.outcomes):
+    of_outcome = kind in ("sg", "p_operational", "spw", "spw_sigma", "sei")
+    try:
+        found = report.outcome(strategy) if of_outcome else report.comparison(strategy)
+    except KeyError:
         raise SpwkitError(f"published figures for '{report.scenario_name}' name strategy "
-                          f"'{strategy}', which the scenario does not have")
-    if kind in ("sg", "p_operational", "spw", "spw_sigma", "sei"):
-        o = report.outcome(strategy)
+                          f"'{strategy}', which the scenario does not have") from None
+    if of_outcome:
         return {
-            "sg": o.sg,
-            "p_operational": o.power.total,
-            "spw": o.spw,
-            "spw_sigma": o.first_order.spw_sigma,
-            "sei": o.sei_value,
+            "sg": found.sg,
+            "p_operational": found.power.total,
+            "spw": found.spw,
+            "spw_sigma": found.first_order.spw_sigma,
+            "sei": found.sei_value,
         }[kind]
-    c = report.comparison(strategy)
     return {
-        "spw_ratio": c.spw_ratio,
-        "power_saving_pct": c.power_saving * 100.0,
-        "security_reduction_pct": c.security_reduction * 100.0,
-        "sei_ratio": c.sei_ratio,
+        "spw_ratio": found.spw_ratio,
+        "power_saving_pct": found.power_saving * 100.0,
+        "security_reduction_pct": found.security_reduction * 100.0,
+        "sei_ratio": found.sei_ratio,
     }[kind]
 
 

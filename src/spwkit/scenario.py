@@ -46,7 +46,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -131,12 +131,23 @@ class ScenarioSpec:
     sei_weights: SeiWeights
     monte_carlo_n: int = DEFAULT_MONTE_CARLO_N
     seed: int = 0
+    _by_name: dict[str, StrategySpec] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.strategies) < 2:
+            raise SchemaViolationError("scenario needs at least two strategies")
+        by_name = {s.name: s for s in self.strategies}
+        if len(by_name) < len(self.strategies):
+            names = [s.name for s in self.strategies]
+            duplicate = min(n for n in by_name if names.count(n) > 1)
+            raise DuplicateStrategyNameError(f"strategy name '{duplicate}' appears twice")
+        if self.baseline_strategy not in by_name:
+            raise UnknownBaselineError(f"baseline '{self.baseline_strategy}' is not a "
+                                       f"strategy (have: {', '.join(by_name)})")
+        object.__setattr__(self, "_by_name", by_name)
 
     def strategy(self, name: str) -> StrategySpec:
-        for s in self.strategies:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self._by_name[name]
 
 
 @dataclass(frozen=True)
@@ -321,23 +332,11 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> ScenarioSpec:
     weights = SeiWeights(**{k: _require(weights_doc, k, float, "weights") for k in weight_keys})
     weights.validate()
 
-    strategies_doc = _require(doc, "strategies", list, "scenario")
-    if len(strategies_doc) < 2:
-        raise SchemaViolationError("scenario needs at least two strategies")
-    strategies = tuple(_parse_strategy(s, i) for i, s in enumerate(strategies_doc))
-
-    names = [s.name for s in strategies]
-    duplicates = sorted({n for n in names if names.count(n) > 1})
-    if duplicates:
-        raise DuplicateStrategyNameError(f"strategy name '{duplicates[0]}' appears twice")
-
-    baseline = _require(doc, "baseline", str, "scenario")
-    if baseline not in names:
-        raise UnknownBaselineError(
-            f"baseline '{baseline}' is not a strategy (have: {', '.join(names)})")
-
+    strategies = tuple(_parse_strategy(s, i) for i, s in
+                       enumerate(_require(doc, "strategies", list, "scenario")))
     return ScenarioSpec(
-        name=name, register_path=register_path, baseline_strategy=baseline,
+        name=name, register_path=register_path,
+        baseline_strategy=_require(doc, "baseline", str, "scenario"),
         strategies=strategies, sei_weights=weights,
         monte_carlo_n=_optional(doc, "monte_carlo_n", DEFAULT_MONTE_CARLO_N, "scenario",
                                 1, MAX_MONTE_CARLO_N),

@@ -224,6 +224,37 @@ class TestScenario:
         number = re.compile(r"\d+\.\d+")
         assert number.findall(md) == number.findall(as_csv)
 
+    def test_layered_controls_without_reference_figures(self, capsys, tmp_path,
+                                                        register_path):
+        control = {"id": "X", "rrf": 0.5, "power": [{"label": "x", "p_base_w": 1.0}]}
+        single = {
+            "name": "single", "controls": [control],
+            "targets": [{"vuln_id": "C1", "p": 0.5, "m": 1.0}],
+            "criteria": {"latency": 0.5, "storage": 0.5, "complexity": 0.5},
+        }
+        second = {"id": "Y", "rrf": 0.5, "power": [{"label": "y", "p_base_w": 0.5}]}
+        doc = {
+            "name": "unpublished", "register": str(register_path), "baseline": "single",
+            "weights": {"alpha": 0.4, "beta": 0.3, "gamma": 0.2, "delta": 0.1},
+            "strategies": [single, {**single, "name": "layered",
+                                    "controls": [control, second]}],
+        }
+        path = tmp_path / "layered.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path), "--paper-check")
+        assert code == 0, err
+        assert ("## Layered controls\n\n"
+                "Effective RRF composed as 1 - prod(1 - rrf) for: layered\n") in out
+        assert out.endswith("## Published-figure check\n\n"
+                            "No published reference figures on file for this scenario.\n")
+
+    def test_missing_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"cannot read scenario file {path}" in err and "internal error" not in err
+
     def test_broken_scenario(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}", encoding="utf-8")

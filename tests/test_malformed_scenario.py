@@ -79,6 +79,8 @@ PROBES = {
     "epsilon": [(("weights",), {**S1["weights"], "epsilon": 0.0})],
     "monte_carlo_n": [(("monte_carlo_n",), 10**15)],
     "uncertainty_w": [(POWER + ("uncertainty_w",), 1e308)],
+    "env_factor": [(POWER + ("env_factor",), 0)],
+    "node_count": [(POWER + ("node_count",), 0)],
     "register": [(("register",), "a\0b")],
 }
 
@@ -94,6 +96,8 @@ PROBES = {
 @example(PROBES["epsilon"])
 @example(PROBES["monte_carlo_n"])
 @example(PROBES["uncertainty_w"])
+@example(PROBES["env_factor"])
+@example(PROBES["node_count"])
 @example(PROBES["register"])
 def test_mutated_scenario_exits_0_or_2(scenario_file, replacements):
     code, _, err = _run(scenario_file, replacements)
@@ -109,6 +113,8 @@ def test_mutated_scenario_exits_0_or_2(scenario_file, replacements):
     ("epsilon", "weights: unknown key(s): ['epsilon']"),
     ("monte_carlo_n", "monte_carlo_n=1000000000000000 outside [1, 1000000]"),
     ("uncertainty_w", "keyex-and-aead: total +/- uncertainty is not finite"),
+    ("env_factor", "keyex-and-aead: environmental_factor must be > 0"),
+    ("node_count", "keyex-and-aead: node_count must be >= 1"),
     ("register", "embedded null byte"),
 ])
 def test_probe_names_the_field(scenario_file, probe, message):

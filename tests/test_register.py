@@ -1,8 +1,10 @@
 """Register loading, validation errors, lookups and round-tripping."""
 
+import csv
 import dataclasses
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -21,6 +23,7 @@ from spwkit.errors import (
 from spwkit.register import (
     COLUMNS,
     Register,
+    VulnerabilityEntry,
     load_bundled_register,
     load_register,
     loads,
@@ -40,7 +43,6 @@ def row(id="X1", title="A finding", subsystem="comms", stride="S",
 
 
 def make_csv(*rows):
-    import csv
     import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -156,6 +158,11 @@ class TestLoading:
         with pytest.raises(DuplicateIdError, match="A1"):
             loads(make_csv(row(id="A1"), row(id="A1")))
 
+    def test_later_bad_row_reported_before_duplicate_id(self):
+        # Ids are checked when the Register is built, after every row parses.
+        with pytest.raises(BadFieldError, match="row B2: unknown subsystem"):
+            loads(make_csv(row(id="A1"), row(id="A1"), row(id="B2", subsystem="payload")))
+
     def test_bad_id_pattern(self):
         with pytest.raises(BadFieldError, match="id"):
             loads(make_csv(row(id="11")))
@@ -256,6 +263,26 @@ class TestRoundTrip:
         assert load_register(out) == register
 
 
+class TestRegisterType:
+    def test_repeated_id_rejected(self):
+        entry = loads(make_csv(row(id="A1"))).entries[0]
+        with pytest.raises(DuplicateIdError, match="^duplicate id 'A1'$") as exc_info:
+            Register(entries=[entry, entry])
+        assert (exc_info.value.row_id, exc_info.value.column) == ("A1", "id")
+
+    def test_frozen(self):
+        register = loads(make_csv(row()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            register.entries = []
+
+    def test_entries_from_any_iterable(self):
+        entries = loads(make_csv(row(id="A1"), row(id="B2"))).entries
+        register = Register(entries=iter(entries))
+        assert register.entries == entries
+        assert register == Register(entries=list(entries))
+        assert register.get("B2") is entries[1]
+
+
 BUNDLED = load_bundled_register()
 FREE_TEXT = ("description", "preconditions", "impact", "mitigations")
 TITLES = st.text(min_size=1).map(str.strip).filter(bool)
@@ -281,7 +308,39 @@ LINE_BREAK_CELLS = _with_free_text(
     "crlf\r\n cr\r lf\n nel\x85 ls\u2028 ps\u2029 vt\x0b ff\x0c nul\x00 \"q\", c")
 
 
+CORPUS_TEXT = (Path(__file__).parent / "data" / "cvss_corpus.csv").read_text(encoding="utf-8")
+CORPUS = [(cvss.parse_vector(r["vector"]), float(r["score"]))
+          for r in csv.DictReader(CORPUS_TEXT.splitlines())]
+SCORES = st.one_of(st.sampled_from(CORPUS),
+                   st.integers(0, 100).map(lambda tenths: (None, tenths / 10)))
+
+
+@st.composite
+def entries(draw, entry_id):
+    """A valid entry: vector and score from the corpus, or a score only."""
+    vector, score = draw(SCORES)
+    return VulnerabilityEntry(
+        id=entry_id, title=draw(TITLES), subsystem=draw(st.sampled_from(Subsystem)),
+        stride=draw(st.frozensets(st.sampled_from(Stride), min_size=1)),
+        attack_techniques=tuple(draw(st.lists(
+            st.from_regex(r"T[0-9]{4}(\.[0-9]{3})?", fullmatch=True), max_size=3))),
+        cvss_vector=vector, cvss_score=score,
+        mission_functions=draw(st.frozensets(st.sampled_from(MissionFunction), min_size=1)),
+        **{column: draw(st.text()) for column in FREE_TEXT})
+
+
+@st.composite
+def arbitrary_registers(draw):
+    ids = draw(st.lists(st.from_regex(r"[A-Za-z][0-9]+", fullmatch=True),
+                        max_size=5, unique=True))
+    return Register(entries=[draw(entries(entry_id)) for entry_id in ids])
+
+
 class TestRoundTripProperties:
+    @given(arbitrary_registers())
+    def test_arbitrary_entries_reload_equal(self, register):
+        assert loads(serialize(register)) == register
+
     @given(registers())
     @example(LINE_BREAK_CELLS)
     def test_loads_serialize(self, register):

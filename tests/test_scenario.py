@@ -1,5 +1,6 @@
 """Scenario loading, validation and evaluation against known outcomes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -205,6 +206,48 @@ class TestValidation:
         with pytest.raises(SchemaViolationError, match=message):
             _typed(value, float, "k", "w", **bounds)
         assert _typed(0.5, float, "k", "w", **bounds) == 0.5
+
+    @pytest.mark.parametrize("strategies, extra, message", [
+        ([strategy_doc("a", rrf=1.5)], {}, r"strategies\[0\].controls\[0\]: rrf=1.5"),
+        ([strategy_doc("a")], {"monte_carlo_n": 0}, "monte_carlo_n=0 outside"),
+        ([strategy_doc("a"), strategy_doc("a")], {"seed": -1}, "seed must be >= 0"),
+        ([strategy_doc("a"), strategy_doc("b")], {"baseline": "c", "monte_carlo_n": 0},
+         "monte_carlo_n=0 outside"),
+    ], ids=["one-strategy+rrf", "one-strategy+monte_carlo_n", "duplicate+seed",
+            "unknown-baseline+monte_carlo_n"])
+    def test_cross_strategy_faults_reported_last(self, strategies, extra, message):
+        # ScenarioSpec checks strategy count, names and baseline when it is built.
+        doc = scenario_doc(strategies, register="r.csv", **extra)
+        with pytest.raises(SchemaViolationError, match=message):
+            parse_scenario(doc)
+
+
+class TestScenarioSpec:
+    """The spec checks its own strategy keys, however it is built."""
+
+    @pytest.fixture(scope="class")
+    def s1(self, scenario_s1_path):
+        return load_scenario(scenario_s1_path)
+
+    def test_duplicate_strategy_name(self, s1):
+        ecc, rsa = s1.strategies
+        with pytest.raises(DuplicateStrategyNameError,
+                           match="^strategy name 'RSA-2048' appears twice$"):
+            dataclasses.replace(s1, strategies=(dataclasses.replace(ecc, name="RSA-2048"), rsa))
+
+    def test_unknown_baseline(self, s1):
+        with pytest.raises(UnknownBaselineError,
+                           match=r"^baseline 'DSA' is not a strategy \(have: ECC, RSA-2048\)$"):
+            dataclasses.replace(s1, baseline_strategy="DSA")
+
+    def test_single_strategy(self, s1):
+        with pytest.raises(SchemaViolationError, match="^scenario needs at least two strategies$"):
+            dataclasses.replace(s1, strategies=s1.strategies[1:])
+
+    def test_strategy_by_name(self, s1):
+        assert s1.strategy("RSA-2048") is s1.strategies[1]
+        with pytest.raises(KeyError):
+            s1.strategy("DSA")
 
 
 @pytest.fixture(scope="module")
