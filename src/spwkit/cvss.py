@@ -23,23 +23,17 @@ PREFIX = "CVSS:3.1"
 
 METRIC_ORDER = ("AV", "AC", "PR", "UI", "S", "C", "I", "A")
 
-ALLOWED = {
-    "AV": ("N", "A", "L", "P"),
-    "AC": ("L", "H"),
-    "PR": ("N", "L", "H"),
-    "UI": ("N", "R"),
-    "S": ("U", "C"),
-    "C": ("H", "L", "N"),
-    "I": ("H", "L", "N"),
-    "A": ("H", "L", "N"),
-}
-
 _AV_WEIGHT = {"N": 0.85, "A": 0.62, "L": 0.55, "P": 0.2}
 _AC_WEIGHT = {"L": 0.77, "H": 0.44}
 _PR_WEIGHT_UNCHANGED = {"N": 0.85, "L": 0.62, "H": 0.27}
 _PR_WEIGHT_CHANGED = {"N": 0.85, "L": 0.68, "H": 0.5}
 _UI_WEIGHT = {"N": 0.85, "R": 0.62}
 _IMPACT_WEIGHT = {"H": 0.56, "L": 0.22, "N": 0.0}
+
+# Each metric's allowed values, in the order error messages list them.
+ALLOWED = dict(zip(METRIC_ORDER, map(tuple, (
+    _AV_WEIGHT, _AC_WEIGHT, _PR_WEIGHT_UNCHANGED, _UI_WEIGHT, ("U", "C"),
+    _IMPACT_WEIGHT, _IMPACT_WEIGHT, _IMPACT_WEIGHT))))
 
 # Memo bound: the base-metric group has 4*2*3*2*2*3*3*3 = 2592 vectors.
 _MEMO_SIZE = 4096

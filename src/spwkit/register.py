@@ -270,8 +270,8 @@ def load_register(path: str | Path) -> Register:
 
 def load_bundled_register() -> Register:
     """Load the register shipped with the package."""
-    text = (resources.files("spwkit") / "data" / BUNDLED_REGISTER).read_text(encoding="utf-8")
-    return loads(text, source=f"bundled:{BUNDLED_REGISTER}")
+    with resources.as_file(resources.files("spwkit") / "data" / BUNDLED_REGISTER) as path:
+        return load_register(path)
 
 
 def _entry_row(e: VulnerabilityEntry) -> list[str]:

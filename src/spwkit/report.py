@@ -18,11 +18,12 @@ import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from importlib import resources
 
 from .errors import SpwkitError
 from .register import Register
-from .scenario import ComparisonReport, ScenarioSpec
+from .scenario import SPW_DISPLAY_DECIMALS, ComparisonReport, ScenarioSpec
 from .stats import severity_distribution, summarize
 from .taxonomy import classify_tier
 
@@ -192,7 +193,7 @@ def scenario_report(scenario: ScenarioSpec, report: ComparisonReport,
     for o in report.outcomes:
         rows.append((
             o.name, fmt(o.sg, 2), fmt(o.power.total, 2), fmt(o.power.uncertainty, 2),
-            fmt(o.spw, 2), fmt(o.first_order.spw_sigma, 2),
+            fmt(o.spw, SPW_DISPLAY_DECIMALS), fmt(o.first_order.spw_sigma, 2),
             fmt(o.monte_carlo.spw_sigma, 2), fmt(o.sei_value, 3)))
     doc.add_table(
         f"Strategy results: {report.scenario_name}",
@@ -239,70 +240,63 @@ def scenario_report(scenario: ScenarioSpec, report: ComparisonReport,
     return doc
 
 
-def _reference_figures(scenario_name: str) -> dict | None:
+@lru_cache(maxsize=1)
+def _reference_figures() -> dict:
+    """The bundled published figures, keyed by scenario name."""
     text = (resources.files("spwkit") / "data" / REFERENCE_FIGURES).read_text(
         encoding="utf-8")
-    return json.loads(text).get(scenario_name)
+    return json.loads(text)
 
 
-def _computed_quantity(kind: str, strategy: str, report: ComparisonReport) -> float:
-    of_outcome = kind in ("sg", "p_operational", "spw", "spw_sigma", "sei")
-    try:
-        found = report.outcome(strategy) if of_outcome else report.comparison(strategy)
-    except KeyError:
-        raise SpwkitError(f"published figures for '{report.scenario_name}' name strategy "
-                          f"'{strategy}', which the scenario does not have") from None
-    if of_outcome:
-        return {
-            "sg": found.sg,
-            "p_operational": found.power.total,
-            "spw": found.spw,
-            "spw_sigma": found.first_order.spw_sigma,
-            "sei": found.sei_value,
-        }[kind]
-    return {
-        "spw_ratio": found.spw_ratio,
-        "power_saving_pct": found.power_saving * 100.0,
-        "security_reduction_pct": found.security_reduction * 100.0,
-        "sei_ratio": found.sei_ratio,
-    }[kind]
+# Each published-figure kind -> its quantity, from a strategy's outcome and comparison.
+_QUANTITIES = {
+    "sg": lambda o, c: o.sg,
+    "p_operational": lambda o, c: o.power.total,
+    "spw": lambda o, c: o.spw,
+    "spw_sigma": lambda o, c: o.first_order.spw_sigma,
+    "sei": lambda o, c: o.sei_value,
+    "spw_ratio": lambda o, c: c.spw_ratio,
+    "power_saving_pct": lambda o, c: c.power_saving * 100.0,
+    "security_reduction_pct": lambda o, c: c.security_reduction * 100.0,
+    "sei_ratio": lambda o, c: c.sei_ratio,
+}
 
 
-def _check_rows(checks: list[dict], report: ComparisonReport) -> list[tuple[str, str, str, str]]:
+def paper_check_rows(report: ComparisonReport) -> list[tuple[str, str, str, str]] | None:
+    """(quantity, computed, published, status) rows, or None if no figures
+    are on file for this scenario."""
+    figures = _reference_figures().get(report.scenario_name)
+    if figures is None:
+        return None
     rows = []
-    for check in checks:
+    for check in figures["checks"]:
         kind = check["kind"]
         strategy = check.get("strategy", "")
+        try:
+            found = report.outcome(strategy), report.comparison(strategy)
+        except KeyError:
+            raise SpwkitError(f"published figures for '{report.scenario_name}' name strategy "
+                              f"'{strategy}', which the scenario does not have") from None
         decimals = check["decimals"]
-        published = check["value"]
-        computed = _computed_quantity(kind, strategy, report)
-        computed_text = fmt(computed, decimals)
-        published_text = fmt(published, decimals)
+        computed_text = fmt(_QUANTITIES[kind](*found), decimals)
+        published_text = fmt(check["value"], decimals)
         if not check.get("derivable", True):
             status = FLAG_MARK + " (derivation unstated)"
         elif computed_text == published_text:
             status = PASS_MARK
         else:
             status = FLAG_MARK + " (not reproduced)"
-        label = f"{kind}[{strategy}]" if strategy else kind
-        rows.append((label, computed_text, published_text, status))
+        rows.append((f"{kind}[{strategy}]", computed_text, published_text, status))
     return rows
 
 
-def paper_check_rows(report: ComparisonReport) -> list[tuple[str, str, str, str]] | None:
-    """(quantity, computed, published, status) rows, or None if no figures
-    are on file for this scenario."""
-    figures = _reference_figures(report.scenario_name)
-    return None if figures is None else _check_rows(figures["checks"], report)
-
-
 def _append_paper_check(doc: ReportDocument, report: ComparisonReport) -> None:
-    figures = _reference_figures(report.scenario_name)
-    if figures is None:
+    rows = paper_check_rows(report)
+    if rows is None:
         doc.add_prose("Published-figure check",
                       "No published reference figures on file for this scenario.")
         return
     doc.add_table("Published-figure check", ("Quantity", "Computed", "Published", "Status"),
-                  _check_rows(figures["checks"], report))
-    for note in figures.get("notes", []):
+                  rows)
+    for note in _reference_figures()[report.scenario_name].get("notes", []):
         doc.add_prose("Note", note)

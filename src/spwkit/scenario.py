@@ -46,7 +46,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +134,11 @@ class ScenarioSpec:
     _by_name: dict[str, StrategySpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 1 <= self.monte_carlo_n <= MAX_MONTE_CARLO_N:
+            raise SchemaViolationError(f"scenario: monte_carlo_n={self.monte_carlo_n} "
+                                       f"outside [1, {MAX_MONTE_CARLO_N}]")
+        if self.seed < 0:
+            raise SchemaViolationError(f"scenario: seed must be >= 0, got {self.seed}")
         if len(self.strategies) < 2:
             raise SchemaViolationError("scenario needs at least two strategies")
         by_name = {s.name: s for s in self.strategies}
@@ -246,10 +251,10 @@ def _require(mapping: dict, key: str, kind: type, where: str, lo=-math.inf, hi=m
     return _typed(mapping[key], kind, key, where, lo, hi)
 
 
-def _optional(mapping: dict, key: str, default, where: str, lo=-math.inf, hi=math.inf):
+def _optional(mapping: dict, key: str, default, where: str):
     if key not in mapping:
         return default
-    return _typed(mapping[key], type(default), key, where, lo, hi)
+    return _typed(mapping[key], type(default), key, where)
 
 
 def _parse_component(doc, where: str) -> PowerComponent:
@@ -338,9 +343,8 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> ScenarioSpec:
         name=name, register_path=register_path,
         baseline_strategy=_require(doc, "baseline", str, "scenario"),
         strategies=strategies, sei_weights=weights,
-        monte_carlo_n=_optional(doc, "monte_carlo_n", DEFAULT_MONTE_CARLO_N, "scenario",
-                                1, MAX_MONTE_CARLO_N),
-        seed=_optional(doc, "seed", 0, "scenario", lo=0))
+        monte_carlo_n=_optional(doc, "monte_carlo_n", DEFAULT_MONTE_CARLO_N, "scenario"),
+        seed=_optional(doc, "seed", 0, "scenario"))
 
 
 def check_targets_resolve(scenario: ScenarioSpec,
@@ -387,13 +391,15 @@ def evaluate(scenario: ScenarioSpec, register: Register,
     """Evaluate every strategy and compare each against the baseline.
 
     Deterministic for a fixed (scenario, register, seed); each strategy's
-    Monte Carlo stream is seeded independently from the master seed. The
-    multi-criteria index takes the SpW term at display precision (two
-    decimals) so the printed arithmetic stays self-consistent.
+    Monte Carlo stream is seeded independently from the master seed, and a
+    ``seed`` given here replaces the scenario's, under the same check. The
+    multi-criteria index takes the SpW term at display precision
+    (``SPW_DISPLAY_DECIMALS``) so the printed arithmetic stays self-consistent.
     """
+    if seed is not None:
+        scenario = replace(scenario, seed=seed)
     entries = check_targets_resolve(scenario, register)
-    master_seed = scenario.seed if seed is None else seed
-    seeds = np.random.SeedSequence(master_seed).generate_state(len(scenario.strategies))
+    seeds = np.random.SeedSequence(scenario.seed).generate_state(len(scenario.strategies))
     child_seeds = dict(zip((s.name for s in scenario.strategies), seeds))
 
     def measure(strategy: StrategySpec, base: StrategyOutcome | None = None

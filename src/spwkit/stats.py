@@ -14,14 +14,6 @@ from .cvss import Severity, severity_for
 from .register import Register
 from .taxonomy import Subsystem
 
-SUBSYSTEM_ORDER = (
-    Subsystem.GROUND_SEGMENT,
-    Subsystem.ONBOARD_COMPUTING,
-    Subsystem.COMMUNICATIONS,
-    Subsystem.NETWORK_CONSTELLATION,
-)
-
-
 @dataclass(frozen=True)
 class SubsystemSummary:
     """Severity statistics for one subsystem (full precision retained)."""
@@ -62,9 +54,9 @@ def summarize_scores(scores: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(register: Register) -> list[SubsystemSummary]:
-    """One summary row per subsystem present, in canonical order."""
+    """One summary row per subsystem present, in ``Subsystem`` order."""
     out = []
-    for subsystem in SUBSYSTEM_ORDER:
+    for subsystem in Subsystem:
         scores = [e.cvss_score for e in register.entries if e.subsystem == subsystem]
         if not scores:
             continue

@@ -256,6 +256,11 @@ class TestRoundTrip:
         other = Register(entries=list(register.entries), source_path="elsewhere")
         assert other == register
 
+    def test_bundled_register_loads_through_load_register(self, register_path):
+        bundled = load_bundled_register()
+        assert bundled == load_register(register_path)
+        assert Path(bundled.source_path) == register_path
+
     def test_save_and_load(self, tmp_path, register):
         from spwkit.register import save_register
         out = tmp_path / "reg.csv"

@@ -221,9 +221,16 @@ class TestValidation:
         with pytest.raises(SchemaViolationError, match=message):
             parse_scenario(doc)
 
+    def test_seed_type_reported_before_monte_carlo_n_range(self):
+        # The parser checks types; ScenarioSpec checks the range when it is built.
+        doc = scenario_doc([strategy_doc("a"), strategy_doc("b")], register="r.csv",
+                           monte_carlo_n=0, seed="x")
+        with pytest.raises(SchemaViolationError, match="^scenario: 'seed' must be a number$"):
+            parse_scenario(doc)
+
 
 class TestScenarioSpec:
-    """The spec checks its own strategy keys, however it is built."""
+    """The spec checks its own keys and bounds, however it is built."""
 
     @pytest.fixture(scope="class")
     def s1(self, scenario_s1_path):
@@ -243,6 +250,21 @@ class TestScenarioSpec:
     def test_single_strategy(self, s1):
         with pytest.raises(SchemaViolationError, match="^scenario needs at least two strategies$"):
             dataclasses.replace(s1, strategies=s1.strategies[1:])
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(monte_carlo_n=0), r"monte_carlo_n=0 outside \[1, 1000000\]"),
+        (dict(monte_carlo_n=-5), r"monte_carlo_n=-5 outside \[1, 1000000\]"),
+        (dict(monte_carlo_n=10**15), r"monte_carlo_n=1000000000000000 outside \[1, 1000000\]"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+    ], ids=["n-zero", "n-negative", "n-huge", "seed-negative"])
+    def test_monte_carlo_bounds(self, s1, changes, message):
+        with pytest.raises(SchemaViolationError, match=f"^scenario: {message}$"):
+            dataclasses.replace(s1, **changes)
+
+    def test_evaluate_seed_override_checked(self, s1):
+        register = load_register(s1.register_path)
+        with pytest.raises(SchemaViolationError, match="^scenario: seed must be >= 0, got -3$"):
+            evaluate(s1, register, seed=-3)
 
     def test_strategy_by_name(self, s1):
         assert s1.strategy("RSA-2048") is s1.strategies[1]
