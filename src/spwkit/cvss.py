@@ -52,7 +52,7 @@ class Severity(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CvssVector:
     """Parsed base-metric group; every field is a one-letter code."""
 

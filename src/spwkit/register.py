@@ -52,9 +52,9 @@ _TECHNIQUE_RE = re.compile(r"^T[0-9]{4}(\.[0-9]{3})?$")
 _SCORE_RE = re.compile(r"^[0-9]+\.[0-9]$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VulnerabilityEntry:
-    """One register row."""
+    """One register row. Slotted, so it has no ``__dict__``: use ``dataclasses.asdict``."""
 
     id: str
     title: str
@@ -108,8 +108,9 @@ def _split_multi(cell: str) -> list[str]:
     return [tok.strip() for tok in cell.split(";") if tok.strip()]
 
 
-# Subsystem, stride, technique and mission cells repeat across rows, so
-# each is parsed once per distinct text. A cell that raises is not cached.
+# Subsystem, stride, technique, score and mission cells repeat across rows,
+# so each is parsed once per distinct text, and rows with equal cells share
+# one value. A cell that raises is not cached.
 _memo = lru_cache(maxsize=1024)
 _subsystem = _memo(Subsystem.from_token)
 
@@ -129,9 +130,18 @@ def _technique_ids(cell: str) -> tuple[str, ...]:
     return techniques
 
 
+@_memo
+def _score(cell: str) -> float:
+    """The cell's score; ``ValueError(text)`` unless it has exactly one decimal."""
+    text = cell.strip()
+    if not _SCORE_RE.match(text):
+        raise ValueError(text)
+    return float(text)
+
+
 def _parse_row(cells: list[str], line_no: int) -> VulnerabilityEntry:
     (row_id, title, subsystem_cell, stride_cell, techniques_cell, vector_text,
-     score_text, missions_cell, description, preconditions, impact, mitigations) = cells
+     score_cell, missions_cell, description, preconditions, impact, mitigations) = cells
     row_id = row_id.strip()
     if not _ID_RE.match(row_id):
         raise BadFieldError(
@@ -167,12 +177,12 @@ def _parse_row(cells: list[str], line_no: int) -> VulnerabilityEntry:
             f"row {row_id}: bad technique id '{exc}' (expected T#### or T####.###)",
             row_id=row_id, column="attack_techniques") from None
 
-    score_text = score_text.strip()
-    if not _SCORE_RE.match(score_text):
+    try:
+        score = _score(score_cell)
+    except ValueError as exc:
         raise ScoreOutOfRangeError(
-            f"row {row_id}: cvss_score '{score_text}' must have exactly one decimal",
-            row_id=row_id, column="cvss_score")
-    score = float(score_text)
+            f"row {row_id}: cvss_score '{exc}' must have exactly one decimal",
+            row_id=row_id, column="cvss_score") from None
     if not 0.0 <= score <= 10.0:
         raise ScoreOutOfRangeError(
             f"row {row_id}: cvss_score {score} outside 0.0-10.0",
@@ -203,11 +213,8 @@ def _parse_row(cells: list[str], line_no: int) -> VulnerabilityEntry:
             f"row {row_id}: mission_functions must not be empty",
             row_id=row_id, column="mission_functions")
 
-    return VulnerabilityEntry(
-        id=row_id, title=title, subsystem=subsystem, stride=stride,
-        attack_techniques=techniques, cvss_vector=vector, cvss_score=score,
-        mission_functions=missions, description=description,
-        preconditions=preconditions, impact=impact, mitigations=mitigations)
+    return VulnerabilityEntry(row_id, title, subsystem, stride, techniques, vector, score,
+                              missions, description, preconditions, impact, mitigations)
 
 
 def _records(lines: Iterable[str]):

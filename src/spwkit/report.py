@@ -25,7 +25,7 @@ from .errors import SpwkitError
 from .register import Register
 from .scenario import SPW_DISPLAY_DECIMALS, ComparisonReport, ScenarioSpec
 from .stats import severity_distribution, summarize
-from .taxonomy import classify_tier
+from .taxonomy import RiskTier, classify_tier
 
 REFERENCE_FIGURES = "reference_figures.json"
 
@@ -55,9 +55,9 @@ class ReportDocument:
     sections: list[Section] = field(default_factory=list)
 
     def add_table(self, title, header, rows):
-        self.sections.append(Section(
-            title=title, header=tuple(header),
-            rows=tuple(tuple(str(c) for c in r) for r in rows)))
+        """``rows`` yields rows of cell strings; a row given as a tuple is kept, not copied."""
+        self.sections.append(Section(title=title, header=tuple(header),
+                                     rows=tuple(map(tuple, rows))))
 
     def add_prose(self, title, text):
         self.sections.append(Section(title=title, prose=text))
@@ -97,12 +97,10 @@ class ReportDocument:
                 writer.writerow([s.prose])
             elif s.checklist:
                 writer.writerow(["done", "practice"])
-                for item in s.checklist:
-                    writer.writerow(["", item])
+                writer.writerows(["", item] for item in s.checklist)
             else:
                 writer.writerow(s.header)
-                for r in s.rows:
-                    writer.writerow(r)
+                writer.writerows(s.rows)
         return buf.getvalue()
 
     def _render_text(self) -> str:
@@ -150,13 +148,20 @@ def stats_report(register: Register) -> ReportDocument:
 def classify_report(register: Register) -> ReportDocument:
     """Tier classification of every register entry."""
     doc = ReportDocument()
-    rows = [
-        (e.id, e.title, e.subsystem.display_name, fmt(e.cvss_score, 1),
-         str(classify_tier(e)))
-        for e in register.entries
-    ]
+    # One string per distinct score and per tier, in two tables, since
+    # RiskTier.HIGH == 2 == 2.0.
+    scores: dict[float, str] = {}
+    tiers = {tier: str(tier) for tier in RiskTier}
+
+    def score_text(score: float) -> str:
+        if score not in scores or not score:  # -0.0 == 0.0, yet prints "-0.0"
+            scores[score] = fmt(score, 1)
+        return scores[score]
+
     doc.add_table("Operational risk tiers",
-                  ("Id", "Title", "Subsystem", "Score", "Tier"), rows)
+                  ("Id", "Title", "Subsystem", "Score", "Tier"),
+                  ((e.id, e.title, e.subsystem.display_name, score_text(e.cvss_score),
+                    tiers[classify_tier(e)]) for e in register.entries))
     return doc
 
 

@@ -134,6 +134,10 @@ class ScenarioSpec:
     _by_name: dict[str, StrategySpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for key in ("monte_carlo_n", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SchemaViolationError(f"scenario: {key} must be an int, got {value!r}")
         if not 1 <= self.monte_carlo_n <= MAX_MONTE_CARLO_N:
             raise SchemaViolationError(f"scenario: monte_carlo_n={self.monte_carlo_n} "
                                        f"outside [1, {MAX_MONTE_CARLO_N}]")

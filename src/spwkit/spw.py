@@ -250,7 +250,9 @@ def spw(
         if np.any(samples <= 0):
             raise NonPositivePowerError(
                 "power uncertainty admits non-positive totals; narrow the intervals")
-        sigma = float(np.std(sg / samples, ddof=1)) if n_samples > 1 else 0.0
+        # In place: the same ufunc on the same operands as ``sg / samples``.
+        sigma = (float(np.std(np.divide(sg, samples, out=samples), ddof=1))
+                 if n_samples > 1 else 0.0)
 
     return SpwResult(sg=sg, spw=ratio, spw_sigma=sigma)
 

@@ -1,7 +1,9 @@
 """Register loading, validation errors, lookups and round-tripping."""
 
+import copy
 import csv
 import dataclasses
+import pickle
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -286,6 +288,47 @@ class TestRegisterType:
         assert register.entries == entries
         assert register == Register(entries=list(entries))
         assert register.get("B2") is entries[1]
+
+
+class TestSlottedRecords:
+    """Entries and vectors are slotted frozen dataclasses and keep the record
+    contract: copies compare and hash equal, fields cannot be assigned."""
+
+    ENTRY = loads(make_csv(row(
+        id="A1", stride="S;T", techniques="T1078",
+        vector="CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", score="9.8",
+        missions="availability;other"))).entries[0]
+
+    @pytest.fixture(params=["entry", "vector"])
+    def record(self, request):
+        return self.ENTRY if request.param == "entry" else self.ENTRY.cvss_vector
+
+    def test_slotted(self, record):
+        assert not hasattr(record, "__dict__")
+        assert dataclasses.asdict(record)
+
+    @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_equal(self, record, clone):
+        twin = clone(record)
+        assert twin is not record
+        assert twin == record and hash(twin) == hash(record)
+
+    def test_replace(self, record):
+        name = dataclasses.fields(record)[0].name
+        changed = dataclasses.replace(record, **{name: "P"})
+        assert getattr(changed, name) == "P" and changed != record
+        assert dataclasses.replace(changed, **{name: getattr(record, name)}) == record
+
+    def test_fields_cannot_be_assigned(self, record):
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, "P")
+
+    def test_register_pickles(self, register):
+        twin = pickle.loads(pickle.dumps(register))
+        assert twin == register
+        assert twin.get("C1") == register.get("C1")
 
 
 BUNDLED = load_bundled_register()

@@ -261,6 +261,21 @@ class TestScenarioSpec:
         with pytest.raises(SchemaViolationError, match=f"^scenario: {message}$"):
             dataclasses.replace(s1, **changes)
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(monte_carlo_n=2.5), "monte_carlo_n must be an int, got 2.5"),
+        (dict(monte_carlo_n="100"), "monte_carlo_n must be an int, got '100'"),
+        (dict(monte_carlo_n=True), "monte_carlo_n must be an int, got True"),
+        (dict(seed=2.5), "seed must be an int, got 2.5"),
+        (dict(seed=True), "seed must be an int, got True"),
+    ], ids=["n-float", "n-str", "n-bool", "seed-float", "seed-bool"])
+    def test_monte_carlo_types(self, s1, changes, message):
+        with pytest.raises(SchemaViolationError, match=f"^scenario: {message}$"):
+            dataclasses.replace(s1, **changes)
+
+    def test_types_checked_before_bounds(self, s1):
+        with pytest.raises(SchemaViolationError, match="^scenario: seed must be an int"):
+            dataclasses.replace(s1, monte_carlo_n=0, seed=2.5)
+
     def test_evaluate_seed_override_checked(self, s1):
         register = load_register(s1.register_path)
         with pytest.raises(SchemaViolationError, match="^scenario: seed must be >= 0, got -3$"):
