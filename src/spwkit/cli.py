@@ -3,10 +3,11 @@
 Subcommands: validate, score, classify, stats, scenario, checklist.
 classify, stats, scenario and checklist take --format and --out; scenario
 also takes --seed and --paper-check; any other option is a usage error
-(exit 2). Reports go to stdout (or --out); diagnostics go to stderr. Exit
-codes: 0 success, 1 internal error, 2 input or validation error. The
-SPW_REGISTER environment variable supplies a default register path where
-one is not given on the command line.
+(exit 2). Reports go to stdout (or --out); diagnostics go to stderr, each
+warning as one "warning: <Class>: <message>" line. Exit codes: 0 success,
+1 internal error, 2 input or validation error. The SPW_REGISTER
+environment variable supplies a default register path where one is not
+given on the command line.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import cvss
@@ -144,10 +146,16 @@ def cmd_checklist(args) -> int:
     return EXIT_OK
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.handler(args)
     except (SpwkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

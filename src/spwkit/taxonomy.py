@@ -1,5 +1,5 @@
-"""Threat taxonomy: STRIDE categories, the component threat map, the
-ATT&CK crosswalk and the three-tier operational risk classifier.
+"""Threat taxonomy: STRIDE categories, the ATT&CK crosswalk and the
+three-tier operational risk classifier.
 
 Attack-vector coding guidance for registers in this domain: CVSS
 "Network" covers anything RF-reachable (uplink, downlink, crosslinks),
@@ -64,23 +64,9 @@ class Stride(Enum):
     DENIAL_OF_SERVICE = "D"
     ELEVATION_OF_PRIVILEGE = "E"
 
-    @property
-    def display_name(self) -> str:
-        return _STRIDE_NAMES[self]
-
     @classmethod
     def from_token(cls, token: str) -> "Stride":
         return cls(token.strip().upper())
-
-
-_STRIDE_NAMES = {
-    Stride.SPOOFING: "Spoofing",
-    Stride.TAMPERING: "Tampering",
-    Stride.REPUDIATION: "Repudiation",
-    Stride.INFORMATION_DISCLOSURE: "Information disclosure",
-    Stride.DENIAL_OF_SERVICE: "Denial of service",
-    Stride.ELEVATION_OF_PRIVILEGE: "Elevation of privilege",
-}
 
 
 class MissionFunction(Enum):
@@ -122,31 +108,19 @@ _MEDIUM_TRIGGERS = frozenset({
 
 
 @dataclass(frozen=True)
-class StrideMappingRow:
-    component: Subsystem
-    threat: Stride
-    example: str
-
-
-@dataclass(frozen=True)
 class AttackCrosswalkRow:
     pattern: str
     technique_id: str
     technique_name: str
 
 
-def _mission_functions(entry) -> frozenset:
-    funcs = getattr(entry, "mission_functions", entry)
-    return frozenset(funcs)
-
-
 def classify_tier(entry) -> RiskTier:
     """Tier an entry (or a bare set of mission functions).
 
-    Entries tagged only 'other' fall through to low with a warning, since
-    nothing mission-critical is claimed for them.
+    Entries tagged only 'other' fall through to low with a warning naming
+    the entry's id, since nothing mission-critical is claimed for them.
     """
-    funcs = _mission_functions(entry)
+    funcs = frozenset(getattr(entry, "mission_functions", entry))
     if not funcs:
         raise ValueError("entry has no mission_functions to classify")
     if funcs & _HIGH_TRIGGERS:
@@ -154,38 +128,22 @@ def classify_tier(entry) -> RiskTier:
     if funcs & _MEDIUM_TRIGGERS:
         return RiskTier.MEDIUM
     if funcs == {MissionFunction.OTHER}:
-        warnings.warn(
-            "entry tagged only 'other'; defaulting to low tier",
-            DefaultTierWarning, stacklevel=2)
+        entry_id = getattr(entry, "id", None)
+        name = "entry" if entry_id is None else f"entry {entry_id}"
+        warnings.warn(f"{name} tagged only 'other'; defaulting to low tier",
+                      DefaultTierWarning, stacklevel=2)
     return RiskTier.LOW
-
-
-def _read_bundled(name: str) -> list[dict]:
-    text = (resources.files("spwkit") / "data" / name).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
-
-
-@lru_cache(maxsize=1)
-def stride_table() -> tuple[StrideMappingRow, ...]:
-    """The bundled component threat map, in table order."""
-    return tuple(
-        StrideMappingRow(
-            component=Subsystem.from_token(row["component"]),
-            threat=Stride.from_token(row["threat"]),
-            example=row["example"],
-        )
-        for row in _read_bundled("stride_map.csv")
-    )
 
 
 @lru_cache(maxsize=1)
 def attack_crosswalk() -> tuple[AttackCrosswalkRow, ...]:
     """The bundled register-condition to ATT&CK technique crosswalk."""
+    text = (resources.files("spwkit") / "data" / "attack_crosswalk.csv").read_text(
+        encoding="utf-8")
+    rows = csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#"))
     return tuple(
         AttackCrosswalkRow(row["pattern"], row["technique_id"], row["technique_name"])
-        for row in _read_bundled("attack_crosswalk.csv")
-    )
+        for row in rows)
 
 
 @lru_cache(maxsize=1)

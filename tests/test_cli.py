@@ -28,6 +28,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv):
+    """Run ``spw`` as a fresh process; stdout and stderr come back as bytes."""
+    env = {k: v for k, v in os.environ.items() if k != "SPW_REGISTER"}
+    env["PYTHONPATH"] = str(Path(spwkit.__file__).parent.parent)
+    return subprocess.run([sys.executable, "-m", "spwkit.cli", *argv],
+                          capture_output=True, env=env, timeout=60)
+
+
 class TestValidate:
     def test_fixture_register(self, capsys, register_path):
         code, out, err = run(capsys, "validate", str(register_path))
@@ -151,6 +159,15 @@ class TestClassify:
         assert code == 0
         assert "| C1 |" in out and "| High |" in out
         assert "| C3 |" in out and "| Low |" in out
+
+    def test_bundled_register_warns_once_per_other_only_entry(self, register_path):
+        proc = run_process("classify", str(register_path))
+        assert proc.returncode == 0, proc.stderr
+        golden = Path(__file__).parent / "data" / "golden" / "classify_register_42.md"
+        assert proc.stdout == golden.read_bytes()
+        assert proc.stderr.decode("utf-8").splitlines() == [
+            f"warning: DefaultTierWarning: entry {entry_id} tagged only 'other'; "
+            "defaulting to low tier" for entry_id in ("G9", "O7")]
 
 
 class TestScenario:
@@ -310,6 +327,22 @@ class TestScenario:
         assert code == 2
         assert "env_factor" in err and "internal error" not in err
 
+    @pytest.mark.filterwarnings("default::spwkit.errors.DuplicatePowerLabelWarning")
+    def test_duplicate_power_label_warning_line(self, capsys, tmp_path, scenario_s1_path):
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        strategy = doc["strategies"][0]
+        power = strategy["controls"][0]["power"]
+        power.append(dict(power[0]))
+        path = tmp_path / "duplicate_label.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "scenario", str(path))
+        assert code == 0, err
+        assert err == (
+            f"warning: DuplicatePowerLabelWarning: strategy '{strategy['name']}' "
+            f"lists power label '{power[0]['label']}' more than once; "
+            "shared components must not be double-counted\n")
+
     @pytest.mark.parametrize("field", ["name", "label"])
     def test_lone_surrogate_in_a_string(self, tmp_path, scenario_s1_path, field):
         # A subprocess, because only a real stdout fails to encode the report.
@@ -321,10 +354,7 @@ class TestScenario:
             doc[field] = "\ud800"
         path = tmp_path / "surrogate.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        env = {k: v for k, v in os.environ.items() if k != "SPW_REGISTER"}
-        env["PYTHONPATH"] = str(Path(spwkit.__file__).parent.parent)
-        proc = subprocess.run([sys.executable, "-m", "spwkit.cli", "scenario", str(path)],
-                              capture_output=True, env=env, timeout=60)
+        proc = run_process("scenario", str(path))
         err = proc.stderr.decode("utf-8", "backslashreplace")
         assert proc.returncode == 2, err
         assert proc.stdout == b""

@@ -2,6 +2,7 @@
 
 import re
 import shlex
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,14 @@ ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
+def _section(section: str) -> str:
+    """The text under the ``## section`` heading."""
+    return README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _block(section: str, language: str) -> str:
     """The first ``language`` code block under the ``## section`` heading."""
-    body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(rf"```{language}\n(.*?)```", body, re.S).group(1)
+    return re.search(rf"```{language}\n(.*?)```", _section(section), re.S).group(1)
 
 
 # (argv, the output the README shows after "# -> ", or "")
@@ -53,3 +58,9 @@ def test_library_example():
     assert shown
     for expression, prefix in shown:
         assert str(eval(expression, namespace)).startswith(prefix), expression
+
+
+def test_bundled_data_list_matches_the_package():
+    listed = re.findall(r"^\* `([^`]+)`", _section("Bundled data"), re.M)
+    shipped = [f.name for f in (resources.files("spwkit") / "data").iterdir()]
+    assert sorted(listed) == sorted(shipped)

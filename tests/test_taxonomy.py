@@ -1,4 +1,4 @@
-"""STRIDE data, the ATT&CK crosswalk and the tier classifier."""
+"""STRIDE codes, the ATT&CK crosswalk and the tier classifier."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,15 +9,10 @@ from spwkit.taxonomy import (
     MissionFunction,
     RiskTier,
     Stride,
-    Subsystem,
     attack_crosswalk,
     classify_tier,
     crosswalk,
-    stride_table,
 )
-
-def stride_rows(component):
-    return [row for row in stride_table() if row.component == component]
 
 
 HIGH_TRIGGERS = {MissionFunction.TELEMETRY_INTEGRITY,
@@ -41,47 +36,6 @@ class TestStrideEnum:
         assert sorted(letters) == ["D", "E", "I", "R", "S", "T"]
         for s in Stride:
             assert Stride.from_token(s.value) is s
-
-    def test_display_names(self):
-        assert Stride.INFORMATION_DISCLOSURE.display_name == "Information disclosure"
-
-
-class TestStrideTable:
-    def test_ten_rows(self):
-        assert len(stride_table()) == 10
-
-    def test_component_threat_layout(self):
-        layout = [(r.component, r.threat) for r in stride_table()]
-        assert layout == [
-            (Subsystem.GROUND_SEGMENT, Stride.SPOOFING),
-            (Subsystem.GROUND_SEGMENT, Stride.TAMPERING),
-            (Subsystem.GROUND_SEGMENT, Stride.ELEVATION_OF_PRIVILEGE),
-            (Subsystem.ONBOARD_COMPUTING, Stride.TAMPERING),
-            (Subsystem.ONBOARD_COMPUTING, Stride.ELEVATION_OF_PRIVILEGE),
-            (Subsystem.COMMUNICATIONS, Stride.INFORMATION_DISCLOSURE),
-            (Subsystem.COMMUNICATIONS, Stride.DENIAL_OF_SERVICE),
-            (Subsystem.COMMUNICATIONS, Stride.SPOOFING),
-            (Subsystem.NETWORK_CONSTELLATION, Stride.SPOOFING),
-            (Subsystem.NETWORK_CONSTELLATION, Stride.DENIAL_OF_SERVICE),
-        ]
-
-    def test_communications_examples(self):
-        rows = stride_rows(Subsystem.COMMUNICATIONS)
-        assert [r.threat for r in rows] == [Stride.INFORMATION_DISCLOSURE,
-                                            Stride.DENIAL_OF_SERVICE,
-                                            Stride.SPOOFING]
-
-    def test_network_examples(self):
-        rows = stride_rows(Subsystem.NETWORK_CONSTELLATION)
-        assert [r.threat for r in rows] == [Stride.SPOOFING, Stride.DENIAL_OF_SERVICE]
-
-    def test_ground_examples_include_elevation(self):
-        rows = stride_rows(Subsystem.GROUND_SEGMENT)
-        assert len(rows) == 3
-        assert Stride.ELEVATION_OF_PRIVILEGE in {r.threat for r in rows}
-
-    def test_examples_nonempty_text(self):
-        assert all(r.example for r in stride_table())
 
 
 class TestCrosswalk:
@@ -128,8 +82,12 @@ class TestClassifyTier:
         assert classify_tier(entry) is RiskTier.HIGH
 
     def test_other_only_defaults_low_with_warning(self):
-        with pytest.warns(DefaultTierWarning):
+        with pytest.warns(DefaultTierWarning, match="^entry X1 tagged only 'other'"):
             assert classify_tier(entry_with({MissionFunction.OTHER})) is RiskTier.LOW
+
+    def test_other_only_bare_set_warning_names_no_id(self):
+        with pytest.warns(DefaultTierWarning, match="^entry tagged only 'other'"):
+            assert classify_tier(frozenset({MissionFunction.OTHER})) is RiskTier.LOW
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
