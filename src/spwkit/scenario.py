@@ -54,6 +54,7 @@ import numpy as np
 from .errors import (
     DuplicatePowerLabelWarning,
     DuplicateStrategyNameError,
+    FactorOutOfRangeError,
     NonPositivePowerError,
     SchemaViolationError,
     UnknownBaselineError,
@@ -264,7 +265,7 @@ def _optional(mapping: dict, key: str, default, where: str):
 def _parse_component(doc, where: str) -> PowerComponent:
     _object(doc, {"label", "p_base_w", "duty_cycle", "env_factor", "node_count",
                   "uncertainty_w"}, where)
-    comp = PowerComponent(
+    return PowerComponent(
         label=_require(doc, "label", str, where),
         p_base=_require(doc, "p_base_w", float, where),
         duty_cycle=_optional(doc, "duty_cycle", 1.0, where),
@@ -272,8 +273,6 @@ def _parse_component(doc, where: str) -> PowerComponent:
         node_count=_optional(doc, "node_count", 1, where),
         uncertainty=_optional(doc, "uncertainty_w", 0.0, where),
     )
-    comp.validate()
-    return comp
 
 
 def _parse_control(doc, where: str) -> ControlSpec:
@@ -339,7 +338,6 @@ def parse_scenario(doc: dict, base_dir: Path | None = None) -> ScenarioSpec:
     weight_keys = ("alpha", "beta", "gamma", "delta")
     weights_doc = _object(_require(doc, "weights", dict, "scenario"), weight_keys, "weights")
     weights = SeiWeights(**{k: _require(weights_doc, k, float, "weights") for k in weight_keys})
-    weights.validate()
 
     strategies = tuple(_parse_strategy(s, i) for i, s in
                        enumerate(_require(doc, "strategies", list, "scenario")))
@@ -424,7 +422,7 @@ def evaluate(scenario: ScenarioSpec, register: Register,
                               components=components, n_samples=scenario.monte_carlo_n,
                               seed=int(child_seeds[strategy.name]))
             spw_ratio = spw_normalised(first_order, base.first_order if base else first_order)
-        except (NonPositivePowerError, ZeroBaselineError) as exc:
+        except (FactorOutOfRangeError, NonPositivePowerError, ZeroBaselineError) as exc:
             raise type(exc)(f"strategy '{strategy.name}': {exc}") from None
         criteria = SeiCriteria(
             spw_term=round(first_order.spw, SPW_DISPLAY_DECIMALS),

@@ -20,6 +20,9 @@ single component the two differ by about sqrt(3) (S1 ECC: 4.00 against
 derivable from their stated inputs and are only ever shown as reference
 values.
 
+The value types check their ranges when built, so the functions taking
+them need not; ``spw`` checks the bare ``(total, uncertainty)`` it is given.
+
 The Monte Carlo sampler fills its ``n`` power totals chunk by chunk, so
 memory is O(n) rather than O(n * k) for ``k`` components, and its draws are
 bit-identical to one ``Generator.uniform`` call over the ``(n, k)`` matrix.
@@ -55,7 +58,7 @@ class VulnContribution:
     mission_criticality: float
     rrf: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         checks = (
             ("cvss", self.cvss, 0.0, 10.0),
             ("exploit_probability", self.exploit_probability, 0.0, 1.0),
@@ -84,7 +87,7 @@ class PowerComponent:
     node_count: int = 1
     uncertainty: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.p_base <= 0:
             raise NonPositivePowerError(f"{self.label}: p_base must be > 0")
         if not 0.0 <= self.duty_cycle <= 1.0:
@@ -129,7 +132,7 @@ class SeiWeights:
     gamma: float
     delta: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, w in zip("alpha beta gamma delta".split(), self.as_tuple()):
             if not 0.0 <= w <= 1.0:
                 raise WeightsNotNormalizedError(f"weight {name}={w} outside [0, 1]")
@@ -155,7 +158,7 @@ class SeiCriteria:
     storage_score: float
     complexity_score: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("latency_score", "storage_score", "complexity_score"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -164,8 +167,6 @@ class SeiCriteria:
 
 def security_gain(contributions: Sequence[VulnContribution]) -> float:
     """Sum of cvss * p * m * rrf over the addressed vulnerabilities."""
-    for c in contributions:
-        c.validate()
     return sum(c.gain for c in contributions)
 
 
@@ -177,8 +178,6 @@ def operational_power(components: Sequence[PowerComponent]) -> PowerEstimate:
     """
     if not components:
         raise EmptyPowerModelError("power model has no components")
-    for comp in components:
-        comp.validate()
     return PowerEstimate(
         total=sum(c.total for c in components),
         uncertainty=sum(c.uncertainty for c in components),
@@ -193,15 +192,11 @@ def _power_samples(centres: np.ndarray, widths: np.ndarray, n: int,
     Bit for bit ``default_rng(seed).uniform(centres - widths, centres +
     widths, size=(n, k)).sum(axis=1)``: ``uniform`` computes ``low + (high
     - low) * next_double`` in C order, and so does this, at most
-    ``MONTE_CARLO_CHUNK`` values at a time. The range checks are its own.
+    ``MONTE_CARLO_CHUNK`` values at a time.
     """
     rng = np.random.default_rng(seed)
     low = centres - widths
     span = (centres + widths) - low
-    if not np.all(np.isfinite(span)):
-        raise OverflowError("Range exceeds valid bounds")
-    if np.any(span < 0):
-        raise ValueError("high - low < 0")
     samples = np.empty(n)
     rows = max(1, MONTE_CARLO_CHUNK // len(low))
     u = np.empty((min(n, rows), len(low)))
@@ -231,10 +226,15 @@ def spw(
     (independently, seeded) and reports the sample standard deviation of
     ``sg / power``; when no component list is given the aggregate estimate
     is treated as a single component.
+
+    Raises ``FactorOutOfRangeError`` if ``u < 0``, ``total + 2u`` is not
+    finite, or SpW or its sigma overflows (a near-zero total).
     """
     total, uncertainty = power
     if total <= 0:
         raise NonPositivePowerError(f"operational power {total} W must be > 0")
+    if not (uncertainty >= 0 and math.isfinite(total + 2 * uncertainty)):
+        raise FactorOutOfRangeError(f"power {total} +/- {uncertainty} W is not a finite interval")
     ratio = sg / total
 
     if sigma_method is SigmaMethod.FIRST_ORDER:
@@ -251,8 +251,11 @@ def spw(
             raise NonPositivePowerError(
                 "power uncertainty admits non-positive totals; narrow the intervals")
         # In place: the same ufunc on the same operands as ``sg / samples``.
-        sigma = (float(np.std(np.divide(sg, samples, out=samples), ddof=1))
-                 if n_samples > 1 else 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+            sigma = (float(np.std(np.divide(sg, samples, out=samples), ddof=1))
+                     if n_samples > 1 else 0.0)
+    if not (math.isfinite(ratio) and math.isfinite(sigma)):
+        raise FactorOutOfRangeError(f"SpW {ratio} +/- {sigma} for {total} W is not finite")
 
     return SpwResult(sg=sg, spw=ratio, spw_sigma=sigma)
 
@@ -266,8 +269,6 @@ def spw_normalised(candidate: SpwResult, baseline: SpwResult) -> float:
 
 def sei(weights: SeiWeights, criteria: SeiCriteria) -> float:
     """Weighted multi-criteria index, exactly as the weights are given."""
-    weights.validate()
-    criteria.validate()
     return (
         weights.alpha * criteria.spw_term
         + weights.beta * criteria.latency_score

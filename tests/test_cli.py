@@ -327,6 +327,24 @@ class TestScenario:
         assert code == 2
         assert "env_factor" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("p_base", [[1e308, 1e308], [1e-320]],
+                             ids=["total-overflows", "spw-overflows"])
+    def test_power_overflow_names_the_strategy(self, tmp_path, scenario_s1_path, p_base):
+        # A subprocess, so that a numpy RuntimeWarning would reach stderr.
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        strategy = next(s for s in doc["strategies"] if s["name"] != doc["baseline"])
+        strategy["controls"][0]["power"] = [
+            {"label": f"c{i}", "p_base_w": p} for i, p in enumerate(p_base)]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_process("scenario", str(path))
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert proc.stdout == b""
+        assert err.startswith(f"error: strategy '{strategy['name']}': ")
+        assert "RuntimeWarning" not in err
+
     @pytest.mark.filterwarnings("default::spwkit.errors.DuplicatePowerLabelWarning")
     def test_duplicate_power_label_warning_line(self, capsys, tmp_path, scenario_s1_path):
         doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))

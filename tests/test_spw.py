@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from spwkit.errors import (
     EmptyPowerModelError,
     FactorOutOfRangeError,
     NonPositivePowerError,
+    SpwkitError,
     WeightsNotNormalizedError,
     ZeroBaselineError,
 )
@@ -63,15 +65,15 @@ class TestSecurityGain:
         assert security_gain([]) == 0.0
 
     @pytest.mark.parametrize("bad", [
-        contribution(10.1, 0.5, 0.5, 0.5),
-        contribution(-0.1, 0.5, 0.5, 0.5),
-        contribution(5.0, 1.2, 0.5, 0.5),
-        contribution(5.0, 0.5, -0.5, 0.5),
-        contribution(5.0, 0.5, 0.5, 1.01),
+        (10.1, 0.5, 0.5, 0.5),
+        (-0.1, 0.5, 0.5, 0.5),
+        (5.0, 1.2, 0.5, 0.5),
+        (5.0, 0.5, -0.5, 0.5),
+        (5.0, 0.5, 0.5, 1.01),
     ])
     def test_factor_out_of_range(self, bad):
         with pytest.raises(FactorOutOfRangeError, match="V1"):
-            security_gain([bad])
+            security_gain([contribution(*bad)])
 
     @given(contributions_strategy())
     def test_matches_exact_fraction_oracle(self, contribs):
@@ -129,14 +131,14 @@ class TestOperationalPower:
         with pytest.raises(NonPositivePowerError):
             operational_power([PowerComponent("x", 0.0)])
 
-    @pytest.mark.parametrize("component", [
-        PowerComponent("wide", 0.18, uncertainty=1e308),        # width 2u overflows
-        PowerComponent("edge", 1.7e308, uncertainty=1e307),     # total + u overflows
-        PowerComponent("many", 1e308, node_count=24),           # total overflows
-    ], ids=lambda c: c.label)
-    def test_non_finite_interval_rejected(self, component):
-        with pytest.raises(FactorOutOfRangeError, match=component.label):
-            operational_power([component])
+    @pytest.mark.parametrize("args", [
+        dict(label="wide", p_base=0.18, uncertainty=1e308),     # width 2u overflows
+        dict(label="edge", p_base=1.7e308, uncertainty=1e307),  # total + u overflows
+        dict(label="many", p_base=1e308, node_count=24),        # total overflows
+    ], ids=lambda args: args["label"])
+    def test_non_finite_interval_rejected(self, args):
+        with pytest.raises(FactorOutOfRangeError, match=args["label"]):
+            operational_power([PowerComponent(**args)])
 
 
 class TestSpw:
@@ -217,6 +219,32 @@ class TestSpw:
         with pytest.raises(NonPositivePowerError):
             spw(1.0, PowerEstimate(0.0, 0.0))
 
+    @pytest.mark.parametrize("power", [(0.18, -0.02), (0.18, float("nan")), (float("inf"), 0.02)])
+    def test_first_order_rejects_an_invalid_interval(self, power):
+        with pytest.raises(FactorOutOfRangeError, match="not a finite interval"):
+            spw(6.48, PowerEstimate(*power))
+
+    @pytest.mark.parametrize("power, methods", [
+        ((5e-324, 0.0), list(SigmaMethod)),             # the ratio overflows
+        ((1e-250, 1e-50), [SigmaMethod.FIRST_ORDER]),   # the relative width overflows
+        ((1e-307, 9e-308), [SigmaMethod.MONTE_CARLO]),  # the smallest draws overflow
+    ])
+    def test_overflowing_result_rejected(self, power, methods):
+        for method in methods:
+            with pytest.raises(FactorOutOfRangeError, match="is not finite"):
+                spw(6.48, power, method, n_samples=1000)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.floats(), st.floats())
+    def test_any_interval_gives_a_finite_result_or_an_error(self, total, uncertainty):
+        for method in SigmaMethod:
+            try:
+                result = spw(6.48, (total, uncertainty), method, n_samples=16)
+            except SpwkitError:
+                continue
+            assert math.isfinite(result.spw)
+            assert math.isfinite(result.spw_sigma) and result.spw_sigma >= 0
+
     @pytest.mark.parametrize("k", [2.0, 4.0, 0.5, 0.25])
     def test_power_scaling_exact_for_binary_factors(self, k):
         base = spw(6.48, PowerEstimate(0.18, 0.0))
@@ -272,18 +300,18 @@ class TestMonteCarloSampler:
             spw(1.0, operational_power(components), MC, components=components,
                 n_samples=3 * MONTE_CARLO_CHUNK // len(components), seed=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("power", [
         (float("inf"), 1.0), (1.0, float("inf")), (1.0, float("nan")), (1e308, 1e308),
     ])
     def test_bare_estimate_with_non_finite_range(self, power):
-        with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
-            spw(1.0, power, MC)
+        for method in SigmaMethod:
+            with pytest.raises(FactorOutOfRangeError, match="not a finite interval"):
+                spw(1.0, power, method)
 
     def test_bare_estimate_with_negative_width(self):
-        with pytest.raises(ValueError, match="high - low < 0"):
-            spw(1.0, (1.0, -0.5), MC)
+        for method in SigmaMethod:
+            with pytest.raises(FactorOutOfRangeError, match="not a finite interval"):
+                spw(1.0, (1.0, -0.5), method)
 
     def test_memory_is_linear_in_n(self):
         components = [PowerComponent(f"c{i}", 1.0, uncertainty=0.1) for i in range(24)]
@@ -295,6 +323,18 @@ class TestMonteCarloSampler:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000  # one (n, k) float64 matrix alone is 19.2 MB
+
+
+class TestValueTypesCheckThemselves:
+    @pytest.mark.parametrize("value, field, bad, error", [
+        (contribution(9.0, 0.8, 1.0, 0.9), "rrf", 1.5, FactorOutOfRangeError),
+        (PowerComponent("x", 1.0), "uncertainty", -0.1, FactorOutOfRangeError),
+        (SeiWeights(0.4, 0.3, 0.2, 0.1), "alpha", 1.5, WeightsNotNormalizedError),
+        (SeiCriteria(1.0, 0.5, 0.5, 0.5), "latency_score", 1.5, FactorOutOfRangeError),
+    ], ids=["VulnContribution", "PowerComponent", "SeiWeights", "SeiCriteria"])
+    def test_replace_rejects_an_out_of_range_field(self, value, field, bad, error):
+        with pytest.raises(error, match=field):
+            replace(value, **{field: bad})
 
 
 class TestNormalisation:
