@@ -5,12 +5,15 @@ Register files are UTF-8 CSV (RFC 4180 quoting) with this exact header::
     id,title,subsystem,stride,attack_techniques,cvss_vector,cvss_score,
     mission_functions,description,preconditions,impact,mitigations
 
-Lines starting with ``#`` before the header are comments. Quoted cells
-may hold any line break; saved registers end rows with CRLF. Files are
-read line by line: loading needs memory for the entries, not the text.
-Multi-valued cells (stride, attack_techniques, mission_functions) join
-tokens with ``;``. A row may carry a vector, a declared score, or both;
-when both are present the vector is scored and must agree with it.
+A leading byte order mark is skipped, and lines starting with ``#`` before
+the header are comments. Quoted cells may hold any line break; saved
+registers end rows with CRLF. Files are read line by line: loading needs
+memory for the entries, not the text. Multi-valued cells (stride,
+attack_techniques, mission_functions) join tokens with ``;``; subsystem,
+stride and mission tokens are trimmed and matched in any case. A row may
+carry a vector, a declared score, or both; when both are present the
+vector is scored and must agree with it. A bad cell raises a
+``RegisterError`` reading ``row <id>: ...`` with ``row_id`` and ``column``.
 """
 
 from __future__ import annotations
@@ -108,111 +111,101 @@ def _split_multi(cell: str) -> list[str]:
     return [tok.strip() for tok in cell.split(";") if tok.strip()]
 
 
-# Subsystem, stride, technique, score and mission cells repeat across rows,
-# so each is parsed once per distinct text, and rows with equal cells share
-# one value. A cell that raises is not cached.
+# Each column's function checks its cell and raises an error naming the column;
+# ``_parse_row`` adds the row. The memoised ones run once per distinct cell text,
+# so rows with equal cells share one value; a cell that raises is not cached.
 _memo = lru_cache(maxsize=1024)
-_subsystem = _memo(Subsystem.from_token)
 
 
 @_memo
-def _token_set(kind: type[Stride] | type[MissionFunction], cell: str) -> frozenset:
-    return frozenset(kind.from_token(t) for t in _split_multi(cell))
+def _subsystem(cell: str) -> Subsystem:
+    try:
+        return Subsystem(cell.strip().lower())
+    except ValueError:
+        raise BadFieldError(f"unknown subsystem '{cell}'", column="subsystem")
+
+
+@_memo
+def _stride(cell: str) -> frozenset[Stride]:
+    try:
+        stride = frozenset(Stride(t.upper()) for t in _split_multi(cell))
+    except ValueError:
+        raise BadStrideTokenError(f"stride tokens must be among S/T/R/I/D/E, got '{cell}'",
+                                  column="stride")
+    if not stride:
+        raise BadStrideTokenError("stride set must not be empty", column="stride")
+    return stride
 
 
 @_memo
 def _technique_ids(cell: str) -> tuple[str, ...]:
-    """The cell's technique ids; ``ValueError(tid)`` for the first bad one."""
     techniques = tuple(_split_multi(cell))
     for tid in techniques:
         if not _TECHNIQUE_RE.match(tid):
-            raise ValueError(tid)
+            raise BadTechniqueIdError(f"bad technique id '{tid}' (expected T#### or T####.###)",
+                                      column="attack_techniques")
     return techniques
 
 
 @_memo
 def _score(cell: str) -> float:
-    """The cell's score; ``ValueError(text)`` unless it has exactly one decimal."""
     text = cell.strip()
     if not _SCORE_RE.match(text):
-        raise ValueError(text)
-    return float(text)
+        raise ScoreOutOfRangeError(f"cvss_score '{text}' must have exactly one decimal",
+                                   column="cvss_score")
+    score = float(text)
+    if not 0.0 <= score <= 10.0:
+        raise ScoreOutOfRangeError(f"cvss_score {score} outside 0.0-10.0", column="cvss_score")
+    return score
+
+
+def _vector(cell: str, score: float) -> cvss.CvssVector | None:
+    text = cell.strip()
+    if not text:
+        return None
+    try:
+        vector = cvss.parse_vector(text)
+    except VectorError as exc:
+        raise BadFieldError(f"bad cvss_vector: {exc}", column="cvss_vector") from exc
+    computed = cvss.base_score(vector).score
+    if computed != score:
+        raise VectorScoreMismatchError(f"vector scores {computed}, declared {score}",
+                                       column="cvss_score")
+    return vector
+
+
+@_memo
+def _missions(cell: str) -> frozenset[MissionFunction]:
+    try:
+        missions = frozenset(MissionFunction(t.lower()) for t in _split_multi(cell))
+    except ValueError:
+        raise BadFieldError(f"unknown mission function in '{cell}'", column="mission_functions")
+    if not missions:
+        raise BadFieldError("mission_functions must not be empty", column="mission_functions")
+    return missions
 
 
 def _parse_row(cells: list[str], line_no: int) -> VulnerabilityEntry:
-    (row_id, title, subsystem_cell, stride_cell, techniques_cell, vector_text,
-     score_cell, missions_cell, description, preconditions, impact, mitigations) = cells
+    (row_id, title, subsystem, stride, techniques, vector, score, missions,
+     description, preconditions, impact, mitigations) = cells
     row_id = row_id.strip()
     if not _ID_RE.match(row_id):
         raise BadFieldError(
             f"row {line_no}: id '{row_id}' must be a letter followed by digits",
             row_id=row_id, column="id")
-
-    title = title.strip()
-    if not title:
-        raise BadFieldError(f"row {row_id}: title must not be empty",
-                            row_id=row_id, column="title")
-
     try:
-        subsystem = _subsystem(subsystem_cell)
-    except ValueError:
-        raise BadFieldError(
-            f"row {row_id}: unknown subsystem '{subsystem_cell}'",
-            row_id=row_id, column="subsystem") from None
-
-    try:
-        stride = _token_set(Stride, stride_cell)
-    except ValueError:
-        raise BadStrideTokenError(
-            f"row {row_id}: stride tokens must be among S/T/R/I/D/E, got '{stride_cell}'",
-            row_id=row_id, column="stride") from None
-    if not stride:
-        raise BadStrideTokenError(f"row {row_id}: stride set must not be empty",
-                                  row_id=row_id, column="stride")
-
-    try:
-        techniques = _technique_ids(techniques_cell)
-    except ValueError as exc:
-        raise BadTechniqueIdError(
-            f"row {row_id}: bad technique id '{exc}' (expected T#### or T####.###)",
-            row_id=row_id, column="attack_techniques") from None
-
-    try:
-        score = _score(score_cell)
-    except ValueError as exc:
-        raise ScoreOutOfRangeError(
-            f"row {row_id}: cvss_score '{exc}' must have exactly one decimal",
-            row_id=row_id, column="cvss_score") from None
-    if not 0.0 <= score <= 10.0:
-        raise ScoreOutOfRangeError(
-            f"row {row_id}: cvss_score {score} outside 0.0-10.0",
-            row_id=row_id, column="cvss_score")
-
-    vector_text = vector_text.strip()
-    vector = None
-    if vector_text:
-        try:
-            vector = cvss.parse_vector(vector_text)
-        except VectorError as exc:
-            raise BadFieldError(f"row {row_id}: bad cvss_vector: {exc}",
-                                row_id=row_id, column="cvss_vector") from exc
-        computed = cvss.base_score(vector).score
-        if computed != score:
-            raise VectorScoreMismatchError(
-                f"row {row_id}: vector scores {computed}, declared {score}",
-                row_id=row_id, column="cvss_score")
-
-    try:
-        missions = _token_set(MissionFunction, missions_cell)
-    except ValueError:
-        raise BadFieldError(
-            f"row {row_id}: unknown mission function in '{missions_cell}'",
-            row_id=row_id, column="mission_functions") from None
-    if not missions:
-        raise BadFieldError(
-            f"row {row_id}: mission_functions must not be empty",
-            row_id=row_id, column="mission_functions")
-
+        title = title.strip()
+        if not title:
+            raise BadFieldError("title must not be empty", column="title")
+        subsystem = _subsystem(subsystem)
+        stride = _stride(stride)
+        techniques = _technique_ids(techniques)
+        score = _score(score)
+        vector = _vector(vector, score)
+        missions = _missions(missions)
+    except RegisterError as exc:
+        raise type(exc)(f"row {row_id}: {exc}", row_id=row_id,
+                        column=exc.column) from exc.__cause__
     return VulnerabilityEntry(row_id, title, subsystem, stride, techniques, vector, score,
                               missions, description, preconditions, impact, mitigations)
 
@@ -259,7 +252,7 @@ def load_register(path: str | Path) -> Register:
     """Load and validate a register file, streaming its lines into ``loads``."""
     path = Path(path)
     try:
-        fh = path.open(encoding="utf-8", newline="")
+        fh = path.open(encoding="utf-8-sig", newline="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise RegisterError(f"cannot read register file {path}: {exc}") from exc
     with fh:

@@ -227,14 +227,16 @@ def spw(
     ``sg / power``; when no component list is given the aggregate estimate
     is treated as a single component.
 
-    Raises ``FactorOutOfRangeError`` if ``u < 0``, ``total + 2u`` is not
-    finite, or SpW or its sigma overflows (a near-zero total).
+    Raises ``FactorOutOfRangeError`` if ``sg < 0``, ``u < 0``, ``total + 2u``
+    is not finite, or SpW or its sigma overflows (a near-zero total).
     """
     total, uncertainty = power
     if total <= 0:
         raise NonPositivePowerError(f"operational power {total} W must be > 0")
     if not (uncertainty >= 0 and math.isfinite(total + 2 * uncertainty)):
         raise FactorOutOfRangeError(f"power {total} +/- {uncertainty} W is not a finite interval")
+    if not sg >= 0:
+        raise FactorOutOfRangeError(f"security gain {sg} must be >= 0")
     ratio = sg / total
 
     if sigma_method is SigmaMethod.FIRST_ORDER:

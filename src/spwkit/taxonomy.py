@@ -41,10 +41,6 @@ class Subsystem(Enum):
     def display_name(self) -> str:
         return _SUBSYSTEM_NAMES[self]
 
-    @classmethod
-    def from_token(cls, token: str) -> "Subsystem":
-        return cls(token.strip().lower())
-
 
 _SUBSYSTEM_NAMES = {
     Subsystem.GROUND_SEGMENT: "Ground segment",
@@ -64,10 +60,6 @@ class Stride(Enum):
     DENIAL_OF_SERVICE = "D"
     ELEVATION_OF_PRIVILEGE = "E"
 
-    @classmethod
-    def from_token(cls, token: str) -> "Stride":
-        return cls(token.strip().upper())
-
 
 class MissionFunction(Enum):
     """Mission-function tags used by the tier classifier."""
@@ -79,10 +71,6 @@ class MissionFunction(Enum):
     GROUND_DATA_FLOW = "ground_data_flow"
     AVAILABILITY = "availability"
     OTHER = "other"
-
-    @classmethod
-    def from_token(cls, token: str) -> "MissionFunction":
-        return cls(token.strip().lower())
 
 
 class RiskTier(IntEnum):

@@ -1,5 +1,6 @@
 """Register loading, validation errors, lookups and round-tripping."""
 
+import codecs
 import copy
 import csv
 import dataclasses
@@ -221,17 +222,45 @@ class TestLoading:
             loads(make_csv(row(title="")))
 
     @pytest.mark.parametrize("cell, error", [
-        (dict(subsystem="payload"), BadFieldError),
-        (dict(stride="S;X"), BadStrideTokenError),
-        (dict(techniques="T1078;1078"), BadTechniqueIdError),
-        (dict(missions="availability;bogus"), BadFieldError),
-        (dict(vector="CVSS:3.1/AV:X"), BadFieldError),
+        (dict(subsystem="payload"), (BadFieldError, "subsystem")),
+        (dict(stride="S;X"), (BadStrideTokenError, "stride")),
+        (dict(techniques="T1078;1078"), (BadTechniqueIdError, "attack_techniques")),
+        (dict(missions="availability;bogus"), (BadFieldError, "mission_functions")),
+        (dict(vector="CVSS:3.1/AV:X"), (BadFieldError, "cvss_vector")),
+        pytest.param(dict(title=""), (BadFieldError, "title"), id="empty-title"),
+        pytest.param(dict(stride=""), (BadStrideTokenError, "stride"), id="empty-stride"),
+        pytest.param(dict(score="7.45"), (ScoreOutOfRangeError, "cvss_score"),
+                     id="score-precision"),
+        pytest.param(dict(score="10.1"), (ScoreOutOfRangeError, "cvss_score"), id="score-range"),
+        pytest.param(dict(vector="CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", score="9.9"),
+                     (VectorScoreMismatchError, "cvss_score"), id="vector-score-mismatch"),
+        pytest.param(dict(missions=""), (BadFieldError, "mission_functions"),
+                     id="empty-missions"),
     ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else "")
     def test_repeated_bad_cell_names_each_row(self, cell, error):
+        error, column = error
         for row_id in ("A1", "B2"):
-            with pytest.raises(error, match=f"row {row_id}:") as exc_info:
+            with pytest.raises(error, match=f"^row {row_id}: ") as exc_info:
                 loads(make_csv(row(id="Z9"), row(id=row_id, **cell)))
-            assert exc_info.value.row_id == row_id
+            assert (exc_info.value.row_id, exc_info.value.column) == (row_id, column)
+
+    def test_tokens_trimmed_and_matched_in_any_case(self):
+        padded = row(subsystem=" COMMS ", stride=" s ; t ", missions=" Availability ")
+        canonical = row(subsystem="comms", stride="S;T", missions="availability")
+        assert loads(make_csv(padded)) == loads(make_csv(canonical))
+
+    def test_byte_order_mark_accepted(self, tmp_path, register, register_path):
+        path = tmp_path / "register.csv"
+        path.write_bytes(codecs.BOM_UTF8 + register_path.read_bytes())
+        assert load_register(path) == register
+
+    @pytest.mark.parametrize("at", [100, 12_000], ids=["first-block", "later-block"])
+    def test_byte_order_mark_keeps_byte_positions(self, tmp_path, register_path, at):
+        data = codecs.BOM_UTF8 + register_path.read_bytes()
+        path = tmp_path / "register.csv"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(RegisterError, match=f"byte 0xff in position {at}:"):
+            load_register(path)
 
     def test_multivalued_cells(self):
         reg = loads(make_csv(row(stride="S;T;E", missions="availability;other")))

@@ -224,6 +224,12 @@ class TestSpw:
         with pytest.raises(FactorOutOfRangeError, match="not a finite interval"):
             spw(6.48, PowerEstimate(*power))
 
+    @pytest.mark.parametrize("sg", [-1.0, float("nan")])
+    def test_negative_gain_rejected(self, sg):
+        for method in SigmaMethod:
+            with pytest.raises(FactorOutOfRangeError, match=f"security gain {sg} must be >= 0"):
+                spw(sg, PowerEstimate(1.0, 0.1), method)
+
     @pytest.mark.parametrize("power, methods", [
         ((5e-324, 0.0), list(SigmaMethod)),             # the ratio overflows
         ((1e-250, 1e-50), [SigmaMethod.FIRST_ORDER]),   # the relative width overflows
@@ -235,14 +241,14 @@ class TestSpw:
                 spw(6.48, power, method, n_samples=1000)
 
     @settings(derandomize=True, deadline=None)
-    @given(st.floats(), st.floats())
-    def test_any_interval_gives_a_finite_result_or_an_error(self, total, uncertainty):
+    @given(st.floats(), st.floats(), st.floats())
+    def test_any_interval_gives_a_finite_result_or_an_error(self, sg, total, uncertainty):
         for method in SigmaMethod:
             try:
-                result = spw(6.48, (total, uncertainty), method, n_samples=16)
+                result = spw(sg, (total, uncertainty), method, n_samples=16)
             except SpwkitError:
                 continue
-            assert math.isfinite(result.spw)
+            assert math.isfinite(result.spw) and result.spw >= 0
             assert math.isfinite(result.spw_sigma) and result.spw_sigma >= 0
 
     @pytest.mark.parametrize("k", [2.0, 4.0, 0.5, 0.25])

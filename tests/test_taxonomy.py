@@ -34,8 +34,6 @@ class TestStrideEnum:
     def test_letter_codes_bijective(self):
         letters = [s.value for s in Stride]
         assert sorted(letters) == ["D", "E", "I", "R", "S", "T"]
-        for s in Stride:
-            assert Stride.from_token(s.value) is s
 
 
 class TestCrosswalk:
