@@ -137,7 +137,7 @@ def cmd_scenario(args) -> int:
     scenario = load_scenario(args.scenario)
     register = load_register(scenario.register_path)
     result = evaluate(scenario, register, seed=args.seed)
-    _emit(scenario_report(scenario, result, paper_check=args.paper_check), args)
+    _emit(scenario_report(result, paper_check=args.paper_check), args)
     return EXIT_OK
 
 

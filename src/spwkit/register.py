@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from itertools import dropwhile
+from itertools import chain, dropwhile
 from pathlib import Path
 
 from . import cvss
@@ -222,7 +222,9 @@ def _records(lines: Iterable[str]):
 
 def loads(text: str | Iterable[str], source: str = "<string>") -> Register:
     """Parse register CSV given as one ``str`` or as an iterable of lines that keep their ends."""
-    lines = io.StringIO(text, newline="") if isinstance(text, str) else text
+    lines = iter(io.StringIO(text, newline="") if isinstance(text, str) else text)
+    first = next(lines, "").removeprefix("\ufeff")  # a leading byte order mark is skipped
+    lines = chain([first] if first else [], lines)
     records = _records(dropwhile(lambda line: line.startswith("#"), lines))
     try:
         _, header = next(records)
@@ -252,7 +254,7 @@ def load_register(path: str | Path) -> Register:
     """Load and validate a register file, streaming its lines into ``loads``."""
     path = Path(path)
     try:
-        fh = path.open(encoding="utf-8-sig", newline="")
+        fh = path.open(encoding="utf-8", newline="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise RegisterError(f"cannot read register file {path}: {exc}") from exc
     with fh:

@@ -23,7 +23,7 @@ from importlib import resources
 
 from .errors import SpwkitError
 from .register import Register
-from .scenario import SPW_DISPLAY_DECIMALS, ComparisonReport, ScenarioSpec
+from .scenario import SPW_DISPLAY_DECIMALS, ComparisonReport
 from .stats import severity_distribution, summarize
 from .taxonomy import RiskTier, classify_tier
 
@@ -184,60 +184,45 @@ def checklist_report() -> ReportDocument:
     return doc
 
 
-def _best_candidate(report: ComparisonReport):
-    candidates = [c for c in report.comparisons if c.candidate != report.baseline]
-    return max(candidates, key=lambda c: c.spw_ratio)
-
-
-def scenario_report(scenario: ScenarioSpec, report: ComparisonReport,
-                    paper_check: bool = False) -> ReportDocument:
+def scenario_report(report: ComparisonReport, paper_check: bool = False) -> ReportDocument:
     """Full scenario evaluation document."""
     doc = ReportDocument()
 
-    rows = []
-    for o in report.outcomes:
-        rows.append((
-            o.name, fmt(o.sg, 2), fmt(o.power.total, 2), fmt(o.power.uncertainty, 2),
-            fmt(o.spw, SPW_DISPLAY_DECIMALS), fmt(o.first_order.spw_sigma, 2),
-            fmt(o.monte_carlo.spw_sigma, 2), fmt(o.sei_value, 3)))
     doc.add_table(
         f"Strategy results: {report.scenario_name}",
         ("Strategy", "SG", "P_op (W)", "+/- (W)", "SpW", "sigma (first-order)",
-         f"sigma (MC, n={scenario.monte_carlo_n})", "SEI"),
-        rows)
-
-    rows = [
-        (c.candidate, fmt(c.spw_ratio, 2) + "x", fmt_pct(c.power_saving),
-         fmt_pct(c.security_reduction, 1), fmt(c.sei_ratio, 2) + "x")
-        for c in report.comparisons
-    ]
+         f"sigma (MC, n={report.monte_carlo_n})", "SEI"),
+        [(o.name, fmt(o.sg, 2), fmt(o.power.total, 2), fmt(o.power.uncertainty, 2),
+          fmt(o.spw, SPW_DISPLAY_DECIMALS), fmt(o.first_order.spw_sigma, 2),
+          fmt(o.monte_carlo.spw_sigma, 2), fmt(o.sei_value, 3)) for o in report.outcomes])
     doc.add_table(
         f"Comparison vs baseline ({report.baseline})",
         ("Strategy", "SpW ratio", "Power saving", "Security reduction", "SEI ratio"),
-        rows)
+        [(o.name, fmt(o.spw_ratio, 2) + "x", fmt_pct(o.power_saving),
+          fmt_pct(o.security_reduction, 1), fmt(o.sei_ratio, 2) + "x")
+         for o in report.outcomes])
 
     tier_rows = [(e.id, e.title, str(classify_tier(e))) for e in report.targets]
     doc.add_table("Target classification", ("Id", "Title", "Tier"), tier_rows)
 
     composed = [o.name for o in report.outcomes if o.rrf_composed]
     if composed:
-        doc.add_prose(
-            "Layered controls",
-            "Effective RRF composed as 1 - prod(1 - rrf) for: " + ", ".join(composed))
+        doc.add_prose("Layered controls",
+                      "Effective RRF composed as 1 - prod(1 - rrf) for: " + ", ".join(composed))
 
-    best = _best_candidate(report)
-    baseline_controls = " + ".join(
-        c.control_id for c in scenario.strategy(report.baseline).controls)
-    candidate_controls = " + ".join(
-        c.control_id for c in scenario.strategy(best.candidate).controls)
+    # max keeps the first of equal ratios, so a tie goes to the first-listed strategy.
+    best = max((o for o in report.outcomes if o.name != report.baseline),
+               key=lambda o: o.spw_ratio)
+    controls = " + ".join(best.controls) + " vs " + " + ".join(
+        report.outcome(report.baseline).controls)
     finding = (
-        f"{best.candidate} delivers {fmt(best.spw_ratio, 2)}x the per-watt security "
+        f"{best.name} delivers {fmt(best.spw_ratio, 2)}x the per-watt security "
         f"of {report.baseline} while using {fmt_pct(best.power_saving)} less power "
         f"({fmt_pct(best.security_reduction, 1)} lower absolute gain)")
     doc.add_table(
         "Summary",
         ("Scenario", "Key Controls", "SpW Advantage", "Power Saving", "Principal Finding"),
-        [(report.scenario_name, f"{candidate_controls} vs {baseline_controls}",
+        [(report.scenario_name, controls,
           fmt(best.spw_ratio, 2) + "x", fmt_pct(best.power_saving), finding)])
 
     if paper_check:
@@ -253,17 +238,17 @@ def _reference_figures() -> dict:
     return json.loads(text)
 
 
-# Each published-figure kind -> its quantity, from a strategy's outcome and comparison.
+# Each published-figure kind -> its quantity, from a strategy's outcome.
 _QUANTITIES = {
-    "sg": lambda o, c: o.sg,
-    "p_operational": lambda o, c: o.power.total,
-    "spw": lambda o, c: o.spw,
-    "spw_sigma": lambda o, c: o.first_order.spw_sigma,
-    "sei": lambda o, c: o.sei_value,
-    "spw_ratio": lambda o, c: c.spw_ratio,
-    "power_saving_pct": lambda o, c: c.power_saving * 100.0,
-    "security_reduction_pct": lambda o, c: c.security_reduction * 100.0,
-    "sei_ratio": lambda o, c: c.sei_ratio,
+    "sg": lambda o: o.sg,
+    "p_operational": lambda o: o.power.total,
+    "spw": lambda o: o.spw,
+    "spw_sigma": lambda o: o.first_order.spw_sigma,
+    "sei": lambda o: o.sei_value,
+    "spw_ratio": lambda o: o.spw_ratio,
+    "power_saving_pct": lambda o: o.power_saving * 100.0,
+    "security_reduction_pct": lambda o: o.security_reduction * 100.0,
+    "sei_ratio": lambda o: o.sei_ratio,
 }
 
 
@@ -278,12 +263,12 @@ def paper_check_rows(report: ComparisonReport) -> list[tuple[str, str, str, str]
         kind = check["kind"]
         strategy = check.get("strategy", "")
         try:
-            found = report.outcome(strategy), report.comparison(strategy)
+            outcome = report.outcome(strategy)
         except KeyError:
             raise SpwkitError(f"published figures for '{report.scenario_name}' name strategy "
                               f"'{strategy}', which the scenario does not have") from None
         decimals = check["decimals"]
-        computed_text = fmt(_QUANTITIES[kind](*found), decimals)
+        computed_text = fmt(_QUANTITIES[kind](outcome), decimals)
         published_text = fmt(check["value"], decimals)
         if not check.get("derivable", True):
             status = FLAG_MARK + " (derivation unstated)"

@@ -1,6 +1,7 @@
 """Declarative trade-off scenarios: loading, validation and evaluation.
 
-A scenario file is JSON with this shape and no other keys, at any level::
+A scenario file is UTF-8 JSON (a leading byte order mark is skipped) with
+this shape and no other keys, at any level::
 
     {
       "name": "...",
@@ -33,7 +34,8 @@ A scenario file is JSON with this shape and no other keys, at any level::
 Every control in a strategy applies to every target of that strategy;
 when a strategy layers several controls the effective risk-reduction
 factor is ``1 - prod(1 - rrf_j)`` (independent layers), and evaluation
-flags that the composition rule fired.
+flags that the composition rule fired; each ``StrategyOutcome`` also
+holds the strategy's comparison with the baseline.
 
 Per-target probability and criticality live here, not on register rows,
 because the same register entry can carry different estimates in
@@ -162,14 +164,19 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class StrategyOutcome:
-    """Everything computed for one strategy."""
+    """Everything computed for one strategy, and how it compares with the baseline."""
 
     name: str
+    controls: tuple[str, ...]  # control ids, in the order the strategy lists them
     power: PowerEstimate
     first_order: SpwResult
     monte_carlo: SpwResult
     sei_value: float
     rrf_composed: bool
+    spw_ratio: float
+    power_saving: float
+    security_reduction: float
+    sei_ratio: float
 
     @property
     def sg(self) -> float:
@@ -181,22 +188,11 @@ class StrategyOutcome:
 
 
 @dataclass(frozen=True)
-class StrategyComparison:
-    """A strategy measured against the scenario baseline."""
-
-    candidate: str
-    spw_ratio: float
-    power_saving: float
-    security_reduction: float
-    sei_ratio: float
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     scenario_name: str
     baseline: str
+    monte_carlo_n: int
     outcomes: tuple[StrategyOutcome, ...]
-    comparisons: tuple[StrategyComparison, ...]
     targets: tuple[VulnerabilityEntry, ...]  # every targeted entry, first-seen order
 
     def outcome(self, name: str) -> StrategyOutcome:
@@ -205,11 +201,8 @@ class ComparisonReport:
                 return o
         raise KeyError(name)
 
-    def comparison(self, name: str) -> StrategyComparison:
-        for c in self.comparisons:
-            if c.candidate == name:
-                return c
-        raise KeyError(name)
+    # The acceptance suite and the README read the baseline comparison under this name.
+    comparison = outcome
 
 
 def _object(doc, keys, where: str) -> dict:
@@ -378,7 +371,7 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise SchemaViolationError(f"cannot read scenario file {path}: {exc}") from exc
     except ValueError as exc:  # undecodable bytes, bad JSON, over-long int literals
@@ -404,9 +397,8 @@ def evaluate(scenario: ScenarioSpec, register: Register,
     seeds = np.random.SeedSequence(scenario.seed).generate_state(len(scenario.strategies))
     child_seeds = dict(zip((s.name for s in scenario.strategies), seeds))
 
-    def measure(strategy: StrategySpec, base: StrategyOutcome | None = None
-                ) -> tuple[StrategyOutcome, StrategyComparison]:
-        """The strategy's outcome and its comparison with ``base`` (itself if None)."""
+    def measure(strategy: StrategySpec, base: StrategyOutcome | None = None) -> StrategyOutcome:
+        """The strategy's outcome, compared with ``base`` (itself if None)."""
         rrf = strategy.effective_rrf()
         sg = security_gain([
             VulnContribution(
@@ -424,28 +416,24 @@ def evaluate(scenario: ScenarioSpec, register: Register,
             spw_ratio = spw_normalised(first_order, base.first_order if base else first_order)
         except (FactorOutOfRangeError, NonPositivePowerError, ZeroBaselineError) as exc:
             raise type(exc)(f"strategy '{strategy.name}': {exc}") from None
-        criteria = SeiCriteria(
+        sei_value = sei(scenario.sei_weights, SeiCriteria(
             spw_term=round(first_order.spw, SPW_DISPLAY_DECIMALS),
-            latency_score=strategy.latency_score,
-            storage_score=strategy.storage_score,
-            complexity_score=strategy.complexity_score)
-        outcome = StrategyOutcome(
-            name=strategy.name, power=power, first_order=first_order,
-            monte_carlo=monte_carlo, sei_value=sei(scenario.sei_weights, criteria),
-            rrf_composed=sum(1 for c in strategy.controls if c.rrf > 0) > 1)
-        base = base or outcome
-        return outcome, StrategyComparison(
-            candidate=strategy.name, spw_ratio=spw_ratio,
-            power_saving=1.0 - power.total / base.power.total,
-            security_reduction=(base.sg - sg) / base.sg if base.sg else 0.0,
-            sei_ratio=outcome.sei_value / base.sei_value if base.sei_value else float("nan"))
+            latency_score=strategy.latency_score, storage_score=strategy.storage_score,
+            complexity_score=strategy.complexity_score))
+        base_power, base_sg, base_sei = ((base.power.total, base.sg, base.sei_value) if base
+                                         else (power.total, sg, sei_value))
+        return StrategyOutcome(
+            name=strategy.name, controls=tuple(c.control_id for c in strategy.controls),
+            power=power, first_order=first_order, monte_carlo=monte_carlo,
+            sei_value=sei_value, rrf_composed=sum(1 for c in strategy.controls if c.rrf > 0) > 1,
+            spw_ratio=spw_ratio, power_saving=1.0 - power.total / base_power,
+            security_reduction=(base_sg - sg) / base_sg if base_sg else 0.0,
+            sei_ratio=sei_value / base_sei if base_sei else float("nan"))
 
     # The baseline goes first, so its errors win over those of earlier-listed strategies.
     base = measure(scenario.strategy(scenario.baseline_strategy))
-    measured = [base if s.name == base[0].name else measure(s, base[0])
-                for s in scenario.strategies]
     return ComparisonReport(
-        scenario_name=scenario.name, baseline=scenario.baseline_strategy,
-        outcomes=tuple(o for o, _ in measured), comparisons=tuple(c for _, c in measured),
+        scenario_name=scenario.name, baseline=base.name, monte_carlo_n=scenario.monte_carlo_n,
+        outcomes=tuple(base if s.name == base.name else measure(s, base)
+                       for s in scenario.strategies),
         targets=tuple(entries.values()))
-

@@ -1,5 +1,7 @@
 """CLI contract: subcommands, exit codes, streams and output formats."""
 
+import codecs
+import csv
 import json
 import os
 import re
@@ -170,6 +172,56 @@ class TestClassify:
             "defaulting to low tier" for entry_id in ("G9", "O7")]
 
 
+def _strategy(name, *controls):
+    """A strategy on C1 layering one control per (id, watts) pair, each with rrf 0.5."""
+    return {
+        "name": name,
+        "controls": [{"id": c, "rrf": 0.5, "power": [{"label": c, "p_base_w": watts}]}
+                     for c, watts in controls],
+        "targets": [{"vuln_id": "C1", "p": 0.5, "m": 1.0}],
+        "criteria": {"latency": 0.5, "storage": 0.5, "complexity": 0.5},
+    }
+
+
+class TestScenarioSummary:
+    """The Summary row of a scenario with three strategies, the baseline listed second."""
+
+    def summary(self, capsys, tmp_path, register_path, strategies):
+        doc = {
+            "name": "three-way", "register": str(register_path), "baseline": "base",
+            "weights": {"alpha": 0.4, "beta": 0.3, "gamma": 0.2, "delta": 0.1},
+            "strategies": strategies,
+        }
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path), "--format", "csv")
+        assert code == 0, err
+        header, row = csv.reader(out.split("# Summary\n")[1].splitlines())
+        return dict(zip(header, row))
+
+    def test_names_the_highest_ratio_candidate(self, capsys, tmp_path, register_path):
+        row = self.summary(capsys, tmp_path, register_path, [
+            _strategy("low", ("L", 1.0)),
+            _strategy("base", ("B1", 1.0), ("B2", 1.0)),
+            _strategy("high", ("H1", 0.25), ("H2", 0.25)),
+        ])
+        assert row["Key Controls"] == "H1 + H2 vs B1 + B2"
+        assert row["SpW Advantage"] == "4.00x"
+        assert row["Power Saving"] == "75%"
+        assert row["Principal Finding"].startswith("high delivers 4.00x the per-watt "
+                                                   "security of base while using 75%")
+
+    def test_tie_goes_to_the_first_listed_candidate(self, capsys, tmp_path, register_path):
+        row = self.summary(capsys, tmp_path, register_path, [
+            _strategy("first", ("F", 4.0)),
+            _strategy("base", ("B", 2.0)),
+            _strategy("second", ("S", 4.0)),
+        ])
+        assert row["Key Controls"] == "F vs B"
+        assert row["SpW Advantage"] == "0.50x"
+        assert row["Principal Finding"].startswith("first delivers")
+
+
 class TestScenario:
     def test_s1_summary(self, capsys, scenario_s1_path):
         code, out, err = run(capsys, "scenario", str(scenario_s1_path))
@@ -264,6 +316,15 @@ class TestScenario:
                 "Effective RRF composed as 1 - prod(1 - rrf) for: layered\n") in out
         assert out.endswith("## Published-figure check\n\n"
                             "No published reference figures on file for this scenario.\n")
+
+    def test_byte_order_mark_accepted(self, capsys, tmp_path, scenario_s1_path):
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        path = tmp_path / "bom.json"
+        path.write_bytes(codecs.BOM_UTF8 + json.dumps(doc).encode("utf-8"))
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 0, err
+        assert out == run(capsys, "scenario", str(scenario_s1_path))[1]
 
     def test_missing_file(self, capsys, tmp_path):
         path = tmp_path / "absent.json"

@@ -4,6 +4,7 @@ import codecs
 import copy
 import csv
 import dataclasses
+import io
 import pickle
 import tracemalloc
 from collections import Counter
@@ -253,6 +254,11 @@ class TestLoading:
         path = tmp_path / "register.csv"
         path.write_bytes(codecs.BOM_UTF8 + register_path.read_bytes())
         assert load_register(path) == register
+
+    def test_loads_skips_byte_order_mark(self, register, register_path):
+        text = "\ufeff" + register_path.read_text(encoding="utf-8")
+        assert loads(text) == register
+        assert loads(io.StringIO(text, newline="")) == register
 
     @pytest.mark.parametrize("at", [100, 12_000], ids=["first-block", "later-block"])
     def test_byte_order_mark_keeps_byte_positions(self, tmp_path, register_path, at):
