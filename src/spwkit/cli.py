@@ -147,7 +147,7 @@ def cmd_checklist(args) -> int:
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+    sys.stderr.write(f"warning: {category.__name__}: {message}\n")  # print() writes twice
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,6 +7,7 @@ as Physical) affects how registers assign values, not the arithmetic here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -34,6 +35,10 @@ _IMPACT_WEIGHT = {"H": 0.56, "L": 0.22, "N": 0.0}
 ALLOWED = dict(zip(METRIC_ORDER, map(tuple, (
     _AV_WEIGHT, _AC_WEIGHT, _PR_WEIGHT_UNCHANGED, _UI_WEIGHT, ("U", "C"),
     _IMPACT_WEIGHT, _IMPACT_WEIGHT, _IMPACT_WEIGHT))))
+
+# A vector written in METRIC_ORDER with allowed values, one group per metric.
+_CANONICAL = re.compile(re.escape(PREFIX) + "".join(
+    f"/{m}:([{''.join(values)}])" for m, values in ALLOWED.items()))
 
 # Memo bound: the base-metric group has 4*2*3*2*2*3*3*3 = 2592 vectors.
 _MEMO_SIZE = 4096
@@ -86,8 +91,18 @@ class BaseScore:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def parse_vector(text: str) -> CvssVector:
-    """Parse a v3.1 vector string; metric order is free, duplicates rejected."""
-    segments = text.strip().split("/")
+    """Parse a v3.1 vector string; metric order is free, duplicates rejected.
+
+    A canonical vector (metrics in ``METRIC_ORDER``, allowed values, nothing
+    else) takes one regular-expression match. Any other text, every error
+    included, goes through the general segment-by-segment parse below, so
+    error classes and messages do not depend on the fast path.
+    """
+    text = text.strip()
+    canonical = _CANONICAL.fullmatch(text)
+    if canonical:
+        return CvssVector(*canonical.groups())
+    segments = text.split("/")
     if segments[0] != PREFIX:
         raise BadPrefixError(f"vector must start with '{PREFIX}/', got '{segments[0]}'")
     seen: dict[str, str] = {}
@@ -162,6 +177,13 @@ def base_score(vector: CvssVector) -> BaseScore:
         score = roundup(min(impact + exploitability, 10.0))
     else:
         score = roundup(min(1.08 * (impact + exploitability), 10.0))
+    return _rated(score)
+
+
+# Memo bound: a base score is one of the 101 values 0.0, 0.1, ..., 10.0.
+@lru_cache(maxsize=128)
+def _rated(score: float) -> BaseScore:
+    """One shared ``BaseScore`` per score value."""
     return BaseScore(score=score, severity=severity_for(score))
 
 

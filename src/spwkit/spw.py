@@ -254,8 +254,12 @@ def spw(
                 "power uncertainty admits non-positive totals; narrow the intervals")
         # In place: the same ufunc on the same operands as ``sg / samples``.
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
-            sigma = (float(np.std(np.divide(sg, samples, out=samples), ddof=1))
-                     if n_samples > 1 else 0.0)
+            ratios = np.divide(sg, samples, out=samples)
+            sigma = float(np.std(ratios, ddof=1)) if n_samples > 1 else 0.0
+            if not math.isfinite(sigma) and np.isfinite(ratios).all():
+                # Squared deviations of huge ratios overflow; take them at scale <= 1.
+                scale = ratios.max()
+                sigma = float(np.std(np.divide(ratios, scale, out=ratios), ddof=1) * scale)
     if not (math.isfinite(ratio) and math.isfinite(sigma)):
         raise FactorOutOfRangeError(f"SpW {ratio} +/- {sigma} for {total} W is not finite")
 

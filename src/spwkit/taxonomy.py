@@ -30,24 +30,21 @@ from .errors import DefaultTierWarning, UnknownTechniqueIdWarning
 
 
 class Subsystem(Enum):
-    """The four principal subsystems; values are the register file tokens."""
+    """The four principal subsystems; values are the register file tokens.
 
-    GROUND_SEGMENT = "ground"
-    ONBOARD_COMPUTING = "obc"
-    COMMUNICATIONS = "comms"
-    NETWORK_CONSTELLATION = "network"
+    Each member carries its ``display_name`` as a plain attribute.
+    """
 
-    @property
-    def display_name(self) -> str:
-        return _SUBSYSTEM_NAMES[self]
+    GROUND_SEGMENT = "ground", "Ground segment"
+    ONBOARD_COMPUTING = "obc", "Onboard computing"
+    COMMUNICATIONS = "comms", "Communications"
+    NETWORK_CONSTELLATION = "network", "Network/constellation"
 
-
-_SUBSYSTEM_NAMES = {
-    Subsystem.GROUND_SEGMENT: "Ground segment",
-    Subsystem.ONBOARD_COMPUTING: "Onboard computing",
-    Subsystem.COMMUNICATIONS: "Communications",
-    Subsystem.NETWORK_CONSTELLATION: "Network/constellation",
-}
+    def __new__(cls, token: str, display_name: str):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.display_name = display_name
+        return member
 
 
 class Stride(Enum):
@@ -93,6 +90,7 @@ _MEDIUM_TRIGGERS = frozenset({
     MissionFunction.PAYLOAD_CONFIDENTIALITY,
     MissionFunction.GROUND_DATA_FLOW,
 })
+_OTHER_ONLY = frozenset({MissionFunction.OTHER})
 
 
 @dataclass(frozen=True)
@@ -102,25 +100,33 @@ class AttackCrosswalkRow:
     technique_name: str
 
 
-def classify_tier(entry) -> RiskTier:
-    """Tier an entry (or a bare set of mission functions).
-
-    Entries tagged only 'other' fall through to low with a warning naming
-    the entry's id, since nothing mission-critical is claimed for them.
-    """
-    funcs = frozenset(getattr(entry, "mission_functions", entry))
+# Memo bound: there are 2**7 sets of the seven mission functions.
+@lru_cache(maxsize=128)
+def _tier(funcs: frozenset) -> RiskTier:
     if not funcs:
         raise ValueError("entry has no mission_functions to classify")
     if funcs & _HIGH_TRIGGERS:
         return RiskTier.HIGH
     if funcs & _MEDIUM_TRIGGERS:
         return RiskTier.MEDIUM
-    if funcs == {MissionFunction.OTHER}:
+    return RiskTier.LOW
+
+
+def classify_tier(entry) -> RiskTier:
+    """Tier an entry (or a bare set of mission functions).
+
+    Entries tagged only 'other' fall through to low with a warning naming
+    the entry's id, since nothing mission-critical is claimed for them.
+    The tier is looked up once per distinct set; the warning fires per call.
+    """
+    funcs = frozenset(getattr(entry, "mission_functions", entry))
+    tier = _tier(funcs)
+    if funcs == _OTHER_ONLY:
         entry_id = getattr(entry, "id", None)
         name = "entry" if entry_id is None else f"entry {entry_id}"
         warnings.warn(f"{name} tagged only 'other'; defaulting to low tier",
                       DefaultTierWarning, stacklevel=2)
-    return RiskTier.LOW
+    return tier
 
 
 @lru_cache(maxsize=1)

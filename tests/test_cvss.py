@@ -1,6 +1,8 @@
 """Vector parsing and base-score behaviour, checked against the frozen
 corpus and the independent decimal oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -85,6 +87,39 @@ class TestParse:
     @given(vector_strategy())
     def test_to_string_round_trip(self, vector):
         assert cvss.parse_vector(vector.to_string()) == vector
+
+    def test_canonical_match_agrees_with_the_general_parse(self):
+        """Canonical text takes one match; a permuted copy must go segment by
+        segment, and a padded copy is stripped first. All three agree."""
+        rng = random.Random(20261018)
+        for text, score, _severity in load_corpus():
+            segments = text.split("/")[1:]
+            permuted = segments[:]
+            while permuted == segments:
+                rng.shuffle(permuted)
+            variants = (text, "/".join([cvss.PREFIX, *permuted]), f" \t{text}\n ")
+            vectors = [cvss.parse_vector(v) for v in variants]
+            assert vectors[0] == vectors[1] == vectors[2]
+            assert vectors[0].to_string() == text
+            assert {cvss.base_score(v).score for v in vectors} == {score}
+
+    @pytest.mark.parametrize("text, error, message", [
+        (FULL.replace("AV:N", "AV:n"), BadValueError,
+         "value 'n' not allowed for AV (one of N/A/L/P)"),
+        (FULL.replace("3.1", "3.0"), BadPrefixError,
+         "vector must start with 'CVSS:3.1/', got 'CVSS:3.0'"),
+        (FULL + "/", UnknownMetricError, "malformed segment ''"),
+        (FULL + "/AV:N", DuplicateMetricError, "metric 'AV' appears twice"),
+        (FULL.replace("/S:U", "/S:U/S:U"), DuplicateMetricError, "metric 'S' appears twice"),
+        (FULL + "/E:X", UnknownMetricError, "unknown metric 'E' in 'E:X'"),
+        (FULL.replace("AV:N", "AV:X"), BadValueError,
+         "value 'X' not allowed for AV (one of N/A/L/P)"),
+        ("CVSS:3.1", MissingMetricError, "missing metric(s): AV, AC, PR, UI, S, C, I, A"),
+    ])
+    def test_near_misses_raise_the_general_errors(self, text, error, message):
+        with pytest.raises(error) as raised:
+            cvss.parse_vector(text)
+        assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestBaseScore:

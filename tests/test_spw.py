@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spwkit.errors import (
     EmptyPowerModelError,
@@ -250,6 +250,34 @@ class TestSpw:
                 continue
             assert math.isfinite(result.spw) and result.spw >= 0
             assert math.isfinite(result.spw_sigma) and result.spw_sigma >= 0
+
+    def test_monte_carlo_sigma_of_a_huge_spw(self):
+        # The squared deviations of ratios near 1e200 overflow, the SD does not.
+        exact = spw(6.48, (1e-200, 0.0), SigmaMethod.MONTE_CARLO)
+        assert exact.spw == 6.48e200 and exact.spw_sigma == 0.0
+        wide = spw(6.48, (1e-200, 1e-201), SigmaMethod.MONTE_CARLO)
+        assert math.isfinite(wide.spw_sigma)
+        unit = spw(6.48, (1.0, 0.1), SigmaMethod.MONTE_CARLO)
+        assert wide.spw_sigma == pytest.approx(unit.spw_sigma * 1e200, rel=1e-9)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.floats(), st.floats(), st.floats())
+    @example(6.48, 1e-200, 0.0)
+    @example(6.48, 1e-200, 1e-201)
+    def test_monte_carlo_returns_wherever_first_order_does(self, sg, total, uncertainty):
+        try:
+            spw(sg, (total, uncertainty))
+        except SpwkitError:
+            return
+        try:
+            spw(sg, (total, uncertainty), SigmaMethod.MONTE_CARLO, n_samples=16)
+        except SpwkitError as exc:
+            samples = _power_samples(np.array([total]), np.array([uncertainty]), 16, 0)
+            if isinstance(exc, NonPositivePowerError):
+                assert (samples <= 0).any()
+            else:
+                with np.errstate(over="ignore"):
+                    assert not np.isfinite(sg / samples).all(), exc
 
     @pytest.mark.parametrize("k", [2.0, 4.0, 0.5, 0.25])
     def test_power_scaling_exact_for_binary_factors(self, k):

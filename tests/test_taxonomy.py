@@ -1,5 +1,7 @@
 """STRIDE codes, the ATT&CK crosswalk and the tier classifier."""
 
+import warnings
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,6 +92,32 @@ class TestClassifyTier:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             classify_tier(frozenset())
+
+    def test_each_other_only_entry_warns_though_the_tier_is_memoised(self):
+        header = ",".join(COLUMNS)
+        ids = ["O1", "H1", "O2", "O3", "A1", "O4"]
+        lines = [",".join([row_id, "t", "comms", "S", "", "", "5.0",
+                           "command_integrity" if row_id[0] == "H" else
+                           "availability" if row_id[0] == "A" else "other", "", "", "", ""])
+                 for row_id in ids]
+        register = loads("\n".join([header, *lines]) + "\n")
+        others = [e for e in register if e.id.startswith("O")]
+        assert all(e.mission_functions is others[0].mission_functions for e in others)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                tiers = [classify_tier(e) for e in register]
+            bare = classify_tier(set(others[0].mission_functions))
+        assert tiers == [RiskTier.LOW, RiskTier.HIGH, RiskTier.LOW, RiskTier.LOW,
+                         RiskTier.LOW, RiskTier.LOW]
+        assert bare is RiskTier.LOW
+        assert all(w.category is DefaultTierWarning for w in caught)
+        expected = [f"entry {row_id} tagged only 'other'; defaulting to low tier"
+                    for row_id in ("O1", "O2", "O3", "O4")] * 2
+        assert [str(w.message) for w in caught] == [
+            *expected, "entry tagged only 'other'; defaulting to low tier"]
+        with pytest.raises(ValueError, match="^entry has no mission_functions to classify$"):
+            classify_tier(set())
 
     def test_independent_of_score(self):
         low = entry_with({MissionFunction.NAVIGATION_INTEGRITY}, score="0.1")
