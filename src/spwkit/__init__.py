@@ -43,7 +43,6 @@ from .taxonomy import (
     Stride,
     Subsystem,
     classify_tier,
-    crosswalk,
 )
 
 __version__ = "0.1.0"
@@ -60,5 +59,5 @@ __all__ = [
     "security_gain", "sei", "spw", "spw_normalised",
     "SubsystemSummary", "severity_distribution", "summarize",
     "MissionFunction", "RiskTier", "Stride", "Subsystem", "classify_tier",
-    "crosswalk", "__version__",
+    "__version__",
 ]

@@ -123,10 +123,6 @@ class SpwkitWarning(UserWarning):
     """Base class for toolkit warnings."""
 
 
-class UnknownTechniqueIdWarning(SpwkitWarning):
-    """An entry lists a technique id absent from the bundled crosswalk."""
-
-
 class DefaultTierWarning(SpwkitWarning):
     """An entry tagged only 'other' fell through to the low tier."""
 

@@ -15,8 +15,8 @@ this shape and no other keys, at any level::
           "name": "...",
           "controls": [
             {"id": "SC-8/ECC", "rrf": 0.9,
-             "description": "...",             // optional
-             "adapted_from": "SC-8",           // optional
+             "description": "...",             // optional, checked, not read
+             "adapted_from": "SC-8",           // optional, checked, not read
              "power": [
                {"label": "...", "p_base_w": 0.18,
                 "duty_cycle": 1.0,             // optional, default 1.0
@@ -92,8 +92,6 @@ class ControlSpec:
     control_id: str
     rrf: float
     power_components: tuple[PowerComponent, ...]
-    description: str = ""
-    adapted_from: str = ""
 
 
 @dataclass(frozen=True)
@@ -273,13 +271,14 @@ def _parse_control(doc, where: str) -> ControlSpec:
     power = _require(doc, "power", list, where)
     if not power:
         raise SchemaViolationError(f"{where}: power model must not be empty")
-    return ControlSpec(
+    control = ControlSpec(
         control_id=_require(doc, "id", str, where),
         rrf=_require(doc, "rrf", float, where, 0, 1),
         power_components=tuple(
-            _parse_component(c, f"{where}.power[{i}]") for i, c in enumerate(power)),
-        description=_optional(doc, "description", "", where),
-        adapted_from=_optional(doc, "adapted_from", "", where))
+            _parse_component(c, f"{where}.power[{i}]") for i, c in enumerate(power)))
+    for key in ("description", "adapted_from"):  # annotations: checked, not kept
+        _optional(doc, key, "", where)
+    return control
 
 
 def _parse_target(doc, where: str) -> TargetSpec:

@@ -1,5 +1,5 @@
-"""Threat taxonomy: STRIDE categories, the ATT&CK crosswalk and the
-three-tier operational risk classifier.
+"""Threat taxonomy: subsystems, STRIDE categories, mission functions and
+the three-tier operational risk classifier.
 
 Attack-vector coding guidance for registers in this domain: CVSS
 "Network" covers anything RF-reachable (uplink, downlink, crosslinks),
@@ -19,14 +19,11 @@ medium trigger is high.
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
-from importlib import resources
 
-from .errors import DefaultTierWarning, UnknownTechniqueIdWarning
+from .errors import DefaultTierWarning
 
 
 class Subsystem(Enum):
@@ -93,13 +90,6 @@ _MEDIUM_TRIGGERS = frozenset({
 _OTHER_ONLY = frozenset({MissionFunction.OTHER})
 
 
-@dataclass(frozen=True)
-class AttackCrosswalkRow:
-    pattern: str
-    technique_id: str
-    technique_name: str
-
-
 # Memo bound: there are 2**7 sets of the seven mission functions.
 @lru_cache(maxsize=128)
 def _tier(funcs: frozenset) -> RiskTier:
@@ -127,39 +117,3 @@ def classify_tier(entry) -> RiskTier:
         warnings.warn(f"{name} tagged only 'other'; defaulting to low tier",
                       DefaultTierWarning, stacklevel=2)
     return tier
-
-
-@lru_cache(maxsize=1)
-def attack_crosswalk() -> tuple[AttackCrosswalkRow, ...]:
-    """The bundled register-condition to ATT&CK technique crosswalk."""
-    text = (resources.files("spwkit") / "data" / "attack_crosswalk.csv").read_text(
-        encoding="utf-8")
-    rows = csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#"))
-    return tuple(
-        AttackCrosswalkRow(row["pattern"], row["technique_id"], row["technique_name"])
-        for row in rows)
-
-
-@lru_cache(maxsize=1)
-def _crosswalk_by_id() -> dict[str, AttackCrosswalkRow]:
-    return {row.technique_id: row for row in attack_crosswalk()}
-
-
-def crosswalk(entry) -> list[AttackCrosswalkRow]:
-    """Crosswalk rows for the technique ids an entry lists.
-
-    Ids absent from the bundled crosswalk raise a warning (not an error)
-    and are skipped.
-    """
-    ids = getattr(entry, "attack_techniques", entry)
-    by_id = _crosswalk_by_id()
-    out = []
-    for tid in ids:
-        row = by_id.get(tid)
-        if row is None:
-            warnings.warn(
-                f"technique id '{tid}' not in bundled crosswalk",
-                UnknownTechniqueIdWarning, stacklevel=2)
-            continue
-        out.append(row)
-    return out

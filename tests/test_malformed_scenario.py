@@ -82,6 +82,7 @@ PROBES = {
     "env_factor": [(POWER + ("env_factor",), 0)],
     "node_count": [(POWER + ("node_count",), 0)],
     "register": [(("register",), "a\0b")],
+    "adapted_from": [(POWER[:4] + ("adapted_from",), 8)],
 }
 
 
@@ -116,6 +117,7 @@ def test_mutated_scenario_exits_0_or_2(scenario_file, replacements):
     ("env_factor", "keyex-and-aead: environmental_factor must be > 0"),
     ("node_count", "keyex-and-aead: node_count must be >= 1"),
     ("register", "embedded null byte"),
+    ("adapted_from", "strategies[0].controls[0]: 'adapted_from' must be str"),
 ])
 def test_probe_names_the_field(scenario_file, probe, message):
     code, out, err = _run(scenario_file, PROBES[probe])

@@ -83,12 +83,6 @@ class TestBundledRegister:
     def test_score_only_rows_are_legal(self, register):
         assert any(e.cvss_vector is None for e in register)
 
-    def test_techniques_resolve_in_crosswalk(self, register):
-        from spwkit.taxonomy import attack_crosswalk
-        known = {r.technique_id for r in attack_crosswalk()}
-        listed = {t for e in register for t in e.attack_techniques}
-        assert listed <= known
-
     def test_filter_by_subsystem(self, register):
         subsystems = [e.subsystem for e in register]
         assert subsystems.count(Subsystem.COMMUNICATIONS) == 12

@@ -57,7 +57,6 @@ class TestLoadFixtures:
         scenario = load_scenario(scenario_s1_path)
         assert [s.name for s in scenario.strategies] == ["ECC", "RSA-2048"]
         assert scenario.baseline_strategy == "RSA-2048"
-        assert scenario.strategies[0].controls[0].adapted_from == "SC-8"
 
     def test_s2_shape(self, scenario_s2_path):
         scenario = load_scenario(scenario_s2_path)
@@ -407,6 +406,18 @@ class TestEvaluateProperties:
         scenario = load_scenario(request.getfixturevalue(fixture))
         result = evaluate(scenario, load_register(scenario.register_path), seed=seed)
         assert {o.name: repr(o.monte_carlo.spw_sigma) for o in result.outcomes} == expected
+
+    def test_appending_a_strategy_keeps_earlier_monte_carlo_sigmas(self, scenario_s1_path):
+        # Each strategy's stream is the child seed at its list position.
+        scenario = load_scenario(scenario_s1_path)
+        register = load_register(scenario.register_path)
+        extra = dataclasses.replace(scenario.strategies[0], name="ECC-copy")
+        longer = dataclasses.replace(scenario, strategies=(*scenario.strategies, extra))
+        before = evaluate(scenario, register)
+        after = evaluate(longer, register)
+        for name in ("ECC", "RSA-2048"):
+            assert repr(after.outcome(name).monte_carlo.spw_sigma) == \
+                repr(before.outcome(name).monte_carlo.spw_sigma)
 
     def test_ordering_invariant_under_uniform_power_rescale(self, tmp_scenario):
         def build(scale):

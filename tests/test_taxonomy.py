@@ -1,19 +1,17 @@
-"""STRIDE codes, the ATT&CK crosswalk and the tier classifier."""
+"""STRIDE codes and the tier classifier."""
 
 import warnings
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spwkit.errors import DefaultTierWarning, UnknownTechniqueIdWarning
+from spwkit.errors import DefaultTierWarning
 from spwkit.register import loads, COLUMNS
 from spwkit.taxonomy import (
     MissionFunction,
     RiskTier,
     Stride,
-    attack_crosswalk,
     classify_tier,
-    crosswalk,
 )
 
 
@@ -22,9 +20,9 @@ HIGH_TRIGGERS = {MissionFunction.TELEMETRY_INTEGRITY,
                  MissionFunction.NAVIGATION_INTEGRITY}
 
 
-def entry_with(missions, techniques=(), score="5.0"):
+def entry_with(missions, score="5.0"):
     header = ",".join(COLUMNS)
-    cells = ["X1", "t", "comms", "S", ";".join(techniques), "", score,
+    cells = ["X1", "t", "comms", "S", "", "", score,
              ";".join(m.value for m in missions), "", "", "", ""]
     return loads(header + "\n" + ",".join(cells) + "\n").entries[0]
 
@@ -36,31 +34,6 @@ class TestStrideEnum:
     def test_letter_codes_bijective(self):
         letters = [s.value for s in Stride]
         assert sorted(letters) == ["D", "E", "I", "R", "S", "T"]
-
-
-class TestCrosswalk:
-    def test_bundles_the_core_pairs(self):
-        by_id = {r.technique_id: r.technique_name for r in attack_crosswalk()}
-        assert by_id["T1078"] == "Valid Accounts"
-        assert by_id["T1071"] == "Application Layer Protocol"
-        assert by_id["T1547"] == "Boot Persistence"
-
-    def test_entry_with_t1078(self):
-        rows = crosswalk(entry_with({MissionFunction.AVAILABILITY}, ["T1078"]))
-        assert [r.technique_name for r in rows] == ["Valid Accounts"]
-
-    def test_entry_with_t1547(self):
-        rows = crosswalk(entry_with({MissionFunction.AVAILABILITY}, ["T1547"]))
-        assert [r.technique_name for r in rows] == ["Boot Persistence"]
-
-    def test_empty_technique_list(self):
-        assert crosswalk(entry_with({MissionFunction.AVAILABILITY})) == []
-
-    def test_unknown_id_warns_and_skips(self):
-        entry = entry_with({MissionFunction.AVAILABILITY}, ["T9999", "T1078"])
-        with pytest.warns(UnknownTechniqueIdWarning, match="T9999"):
-            rows = crosswalk(entry)
-        assert [r.technique_id for r in rows] == ["T1078"]
 
 
 class TestClassifyTier:
