@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -122,7 +123,13 @@ class ReportDocument:
 
 
 def fmt(value: float, decimals: int) -> str:
-    return f"{value:.{decimals}f}"
+    """``value`` to ``decimals`` places; NaN (a ratio to a zero baseline) reads ``n/a``."""
+    return "n/a" if math.isnan(value) else f"{value:.{decimals}f}"
+
+
+def fmt_times(value: float) -> str:
+    """A ratio as ``1.23x``, or ``n/a``."""
+    return fmt(value, 2) + ("" if math.isnan(value) else "x")
 
 
 def fmt_pct(fraction: float, decimals: int = 0) -> str:
@@ -198,8 +205,8 @@ def scenario_report(report: ComparisonReport, paper_check: bool = False) -> Repo
     doc.add_table(
         f"Comparison vs baseline ({report.baseline})",
         ("Strategy", "SpW ratio", "Power saving", "Security reduction", "SEI ratio"),
-        [(o.name, fmt(o.spw_ratio, 2) + "x", fmt_pct(o.power_saving),
-          fmt_pct(o.security_reduction, 1), fmt(o.sei_ratio, 2) + "x")
+        [(o.name, fmt_times(o.spw_ratio), fmt_pct(o.power_saving),
+          fmt_pct(o.security_reduction, 1), fmt_times(o.sei_ratio))
          for o in report.outcomes])
 
     tier_rows = [(e.id, e.title, str(classify_tier(e))) for e in report.targets]
@@ -223,7 +230,7 @@ def scenario_report(report: ComparisonReport, paper_check: bool = False) -> Repo
         "Summary",
         ("Scenario", "Key Controls", "SpW Advantage", "Power Saving", "Principal Finding"),
         [(report.scenario_name, controls,
-          fmt(best.spw_ratio, 2) + "x", fmt_pct(best.power_saving), finding)])
+          fmt_times(best.spw_ratio), fmt_pct(best.power_saving), finding)])
 
     if paper_check:
         _append_paper_check(doc, report)

@@ -26,11 +26,15 @@ them need not; ``spw`` checks the bare ``(total, uncertainty)`` it is given.
 The Monte Carlo sampler fills its ``n`` power totals chunk by chunk, so
 memory is O(n) rather than O(n * k) for ``k`` components, and its draws are
 bit-identical to one ``Generator.uniform`` call over the ``(n, k)`` matrix.
+The ratios are then divided into that array and their SD taken in place,
+bit-identical to ``np.std(ddof=1)`` wherever that cannot overflow: one
+n-length array in all.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -45,7 +49,9 @@ from .errors import (
     ZeroBaselineError,
 )
 
-MONTE_CARLO_CHUNK = 1 << 17  # float64 values (1 MB) drawn per sampler chunk
+# float64 values (128 KB) drawn per sampler chunk: the chunk stays
+# cache-sized next to the n-length samples array.
+MONTE_CARLO_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -209,6 +215,28 @@ def _power_samples(centres: np.ndarray, widths: np.ndarray, n: int,
     return samples
 
 
+def _sample_sd(x: np.ndarray) -> float:
+    """Sample SD (``ddof=1``) of two or more values in ``[0, inf]``;
+    overwrites ``x``. NaN if any value is infinite.
+
+    numpy's ``_var`` ufuncs run in their order on ``x`` itself instead of on
+    a copy. With every value at most ``sqrt(max_float / 2n)`` neither the
+    sum nor the squared deviations can overflow, and the result is
+    ``np.std(x, ddof=1)`` bit for bit; above that the values are first
+    divided by their maximum and the SD multiplied back.
+    """
+    n = len(x)
+    scale = float(x.max())
+    if scale > math.sqrt(sys.float_info.max / (2 * n)):
+        np.divide(x, scale, out=x)
+    else:
+        scale = 1.0
+    mean = np.add.reduce(x) / n
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    return math.sqrt(np.add.reduce(x) / (n - 1)) * scale
+
+
 def spw(
     sg: float,
     power: PowerEstimate | tuple[float, float],
@@ -255,11 +283,7 @@ def spw(
         # In place: the same ufunc on the same operands as ``sg / samples``.
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
             ratios = np.divide(sg, samples, out=samples)
-            sigma = float(np.std(ratios, ddof=1)) if n_samples > 1 else 0.0
-            if not math.isfinite(sigma) and np.isfinite(ratios).all():
-                # Squared deviations of huge ratios overflow; take them at scale <= 1.
-                scale = ratios.max()
-                sigma = float(np.std(np.divide(ratios, scale, out=ratios), ddof=1) * scale)
+            sigma = _sample_sd(ratios) if n_samples > 1 else 0.0
     if not (math.isfinite(ratio) and math.isfinite(sigma)):
         raise FactorOutOfRangeError(f"SpW {ratio} +/- {sigma} for {total} W is not finite")
 

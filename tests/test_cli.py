@@ -30,12 +30,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
-    """Run ``spw`` as a fresh process; stdout and stderr come back as bytes."""
+def run_python(*args):
+    """Run Python as a fresh process that imports this spwkit; stdout and
+    stderr come back as bytes."""
     env = {k: v for k, v in os.environ.items() if k != "SPW_REGISTER"}
     env["PYTHONPATH"] = str(Path(spwkit.__file__).parent.parent)
-    return subprocess.run([sys.executable, "-m", "spwkit.cli", *argv],
-                          capture_output=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+
+
+def run_process(*argv):
+    """Run ``spw`` as a fresh process; stdout and stderr come back as bytes."""
+    return run_python("-m", "spwkit.cli", *argv)
 
 
 class TestValidate:
@@ -170,6 +175,18 @@ class TestClassify:
         assert proc.stderr.decode("utf-8").splitlines() == [
             f"warning: DefaultTierWarning: entry {entry_id} tagged only 'other'; "
             "defaulting to low tier" for entry_id in ("G9", "O7")]
+
+
+def test_triage_never_imports_numpy_random(register_path):
+    """``numpy.random`` (and the OpenSSL it pulls in through ``secrets``) is
+    for the Monte Carlo sigma only; importing the CLI and classifying a
+    register must not load it."""
+    script = ("import sys; import spwkit.cli\n"
+              "before = 'numpy.random' in sys.modules\n"
+              "code = spwkit.cli.main(['classify', sys.argv[1]])\n"
+              "print(before, 'numpy.random' in sys.modules, code, file=sys.stderr)")
+    proc = run_python("-c", script, str(register_path))
+    assert proc.stderr.decode("utf-8").splitlines()[-1] == "False False 0"
 
 
 def _strategy(name, *controls):
@@ -316,6 +333,29 @@ class TestScenario:
                 "Effective RRF composed as 1 - prod(1 - rrf) for: layered\n") in out
         assert out.endswith("## Published-figure check\n\n"
                             "No published reference figures on file for this scenario.\n")
+
+    @pytest.mark.parametrize("scenario, argv, n_a", [
+        ("scenario_s1_path", ("--format", "md"), 2),  # one per strategy
+        ("scenario_s1_path", ("--format", "csv"), 2),
+        ("scenario_s1_path", ("--format", "text"), 2),
+        ("scenario_s2_path", ("--paper-check", "--format", "csv"), 3),  # and the checked row
+    ], ids=["md", "csv", "text", "paper-check"])
+    def test_sei_ratio_of_a_zero_baseline_index(self, capsys, request, tmp_path, scenario,
+                                                argv, n_a):
+        scenario_path = request.getfixturevalue(scenario)
+        doc = json.loads(scenario_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_path.parent / doc["register"])
+        for strategy in doc["strategies"]:  # SpW rounds to 0.00 and every criterion is 0
+            strategy["targets"] = [{**strategy["targets"][0], "p": 0.0001, "m": 0.0001}]
+            strategy["criteria"] = {"latency": 0.0, "storage": 0.0, "complexity": 0.0}
+        path = tmp_path / "zero_index.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path), *argv)
+        assert code == 0, err
+        assert "nan" not in out
+        assert len(re.findall(r"\bn/a\b", out)) == n_a
+        if "--paper-check" in argv:
+            assert "sei_ratio[DSP],n/a,2.07,FLAG paper-stated (not reproduced)" in out
 
     def test_byte_order_mark_accepted(self, capsys, tmp_path, scenario_s1_path):
         doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))

@@ -1,6 +1,7 @@
 """The gain / power / per-watt / index calculus and its invariants."""
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -31,7 +32,9 @@ from spwkit.spw import (
     spw,
     spw_normalised,
 )
-from spwkit.spw import _power_samples
+from spwkit.spw import _power_samples, _sample_sd
+
+from .sigma_oracle import sigma_two_uniforms
 
 
 def contribution(cvss, p, m, rrf, vuln_id="V1"):
@@ -198,6 +201,34 @@ class TestSpw:
         result = spw(sg, (centre, width), SigmaMethod.MONTE_CARLO, n_samples=n, seed=seed)
         assert abs(result.spw_sigma - exact) < 5 * standard_error
 
+    @pytest.mark.parametrize("sg, first, second", [
+        (18.62, (9.6, 1.0), (2.1, 0.2)),   # S2 Centralised: telemetry uplink, ground processing
+        (16.66, (1.2, 0.15), (3.6, 0.4)),  # S2 DSP: anomaly detection, ISL coordination
+    ], ids=["S2-Centralised", "S2-DSP"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monte_carlo_matches_closed_form_for_two_components(self, sg, first, second, seed):
+        """The sample sd must lie within 5 standard errors of the trapezoid-density oracle."""
+        n = 20_000
+        exact = sigma_two_uniforms(sg, *first, *second)
+        centres, widths = np.array([first[0], second[0]]), np.array([first[1], second[1]])
+        x = sg / _power_samples(centres, widths, n, seed)  # spw's draws
+        kurtosis = np.mean((x - x.mean()) ** 4) / np.var(x) ** 2
+        standard_error = exact * math.sqrt((kurtosis - 1) / (4 * (n - 1)))
+        components = [PowerComponent("first", first[0], uncertainty=first[1]),
+                      PowerComponent("second", second[0], uncertainty=second[1])]
+        result = spw(sg, operational_power(components), SigmaMethod.MONTE_CARLO,
+                     components=components, n_samples=n, seed=seed)
+        assert abs(result.spw_sigma - exact) < 5 * standard_error
+
+    def test_two_component_oracle_matches_a_midpoint_integral(self):
+        sg, (c1, u1), (c2, u2), m = 16.66, (1.2, 0.15), (3.6, 0.4), 200
+        xs = [c1 - u1 + (i + 0.5) * 2 * u1 / m for i in range(m)]
+        ys = [c2 - u2 + (i + 0.5) * 2 * u2 / m for i in range(m)]
+        mean_inverse = sum(1 / (x + y) for x in xs for y in ys) / m**2
+        mean_inverse_square = sum(1 / (x + y) ** 2 for x in xs for y in ys) / m**2
+        midpoint = sg * math.sqrt(mean_inverse_square - mean_inverse**2)
+        assert sigma_two_uniforms(sg, c1, u1, c2, u2) == pytest.approx(midpoint, rel=1e-4)
+
     def test_monte_carlo_per_component_sampling(self):
         components = (
             PowerComponent("a", 0.4, node_count=24, uncertainty=1.0),
@@ -357,6 +388,54 @@ class TestMonteCarloSampler:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000  # one (n, k) float64 matrix alone is 19.2 MB
+
+    def test_warm_call_holds_one_n_length_array(self):
+        n = 100_000
+        components = [PowerComponent(f"c{i}", 1.0, uncertainty=0.1) for i in range(24)]
+        power = operational_power(components)
+        spw(10.0, power, MC, components=components, n_samples=n, seed=1)
+        tracemalloc.start()
+        try:
+            spw(10.0, power, MC, components=components, n_samples=n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 512 * 1024  # the float64 samples plus a fixed working set
+
+
+@st.composite
+def sd_inputs(draw):
+    """Non-negative values, up to a few chunks of them, whose maximum lies
+    anywhere from 1e-300 to past the in-place SD's overflow gate."""
+    n = draw(st.integers(min_value=2, max_value=3 * MONTE_CARLO_CHUNK))
+    gate = math.sqrt(sys.float_info.max / (2 * n))
+    top = draw(st.one_of(
+        st.floats(min_value=1e-300, max_value=gate),
+        st.sampled_from([gate, math.nextafter(gate, math.inf), 2 * gate]),
+        st.floats(min_value=gate, max_value=sys.float_info.max)))
+    spread = draw(st.sampled_from([0.0, 1e-12, 0.1, 1.0]))  # relative width below the maximum
+    x = top * (1.0 - spread * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n))
+    x[draw(st.integers(min_value=0, max_value=n - 1))] = top
+    return x
+
+
+class TestSampleSd:
+    @settings(max_examples=300, deadline=None)
+    @given(sd_inputs())
+    def test_equals_numpy_std_bit_for_bit(self, x):
+        """Up to the overflow gate the SD is ``np.std(x, ddof=1)``; above it,
+        numpy's SD of ``x / max(x)`` times ``max(x)``."""
+        top = x.max()
+        with np.errstate(over="ignore", invalid="ignore"):  # as spw() calls it
+            if top <= math.sqrt(sys.float_info.max / (2 * len(x))):
+                expected = float(np.std(x, ddof=1))
+            else:
+                expected = float(np.std(x / top, ddof=1)) * float(top)
+            assert repr(_sample_sd(x.copy())) == repr(expected)
+
+    def test_an_infinite_value_gives_nan(self):
+        with np.errstate(over="ignore", invalid="ignore"):  # as spw() calls it
+            assert math.isnan(_sample_sd(np.array([1.0, math.inf, 2.0])))
 
 
 class TestValueTypesCheckThemselves:
