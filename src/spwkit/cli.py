@@ -22,8 +22,8 @@ from . import cvss
 from .errors import SpwkitError
 from .register import Register, load_register
 from .report import (
+    FORMATS,
     ReportDocument,
-    ReportFormat,
     checklist_report,
     classify_report,
     scenario_report,
@@ -45,18 +45,12 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _output_options() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=[f.value for f in ReportFormat],
-                        default=ReportFormat.MARKDOWN.value,
+    output.add_argument("--format", choices=list(FORMATS), default="md",
                         help="report output format (default: md)")
     output.add_argument("--out", metavar="PATH",
                         help="write the report to PATH instead of stdout")
-    return output
-
-
-def build_parser() -> argparse.ArgumentParser:
-    output = _output_options()
     parser = argparse.ArgumentParser(
         prog="spw",
         description="Power-aware security risk assessment for CubeSat missions.")
@@ -105,7 +99,7 @@ def _load(args) -> Register:
 
 
 def _emit(doc: ReportDocument, args) -> None:
-    rendered = doc.render(ReportFormat(args.format))
+    rendered = doc.render(args.format)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
     else:

@@ -11,8 +11,8 @@ registers end rows with CRLF. Files are read line by line: loading needs
 memory for the entries, not the text. Multi-valued cells (stride,
 attack_techniques, mission_functions) join tokens with ``;``; subsystem,
 stride and mission tokens are trimmed and matched in any case. A row may
-carry a vector, a declared score, or both; when both are present the
-vector is scored and must agree with it. A bad cell raises a
+carry a vector, a declared score, or both; a vector alone gives the row
+its base score, and a vector and a score must agree. A bad cell raises a
 ``RegisterError`` reading ``row <id>: ...`` with ``row_id`` and ``column``.
 """
 
@@ -159,19 +159,20 @@ def _score(cell: str) -> float:
     return score
 
 
-def _vector(cell: str, score: float) -> cvss.CvssVector | None:
+def _vector(cell: str, score: float | None) -> tuple[cvss.CvssVector | None, float | None]:
+    """The cell's vector, if any, and the row's score: ``score`` if declared, else the vector's."""
     text = cell.strip()
     if not text:
-        return None
+        return None, score
     try:
         vector = cvss.parse_vector(text)
     except VectorError as exc:
         raise BadFieldError(f"bad cvss_vector: {exc}", column="cvss_vector") from exc
     computed = cvss.base_score(vector).score
-    if computed != score:
+    if score is not None and computed != score:
         raise VectorScoreMismatchError(f"vector scores {computed}, declared {score}",
                                        column="cvss_score")
-    return vector
+    return vector, computed
 
 
 @_memo
@@ -200,8 +201,8 @@ def _parse_row(cells: list[str], line_no: int) -> VulnerabilityEntry:
         subsystem = _subsystem(subsystem)
         stride = _stride(stride)
         techniques = _technique_ids(techniques)
-        score = _score(score)
-        vector = _vector(vector, score)
+        score = _score(score) if score.strip() or not vector.strip() else None
+        vector, score = _vector(vector, score)
         missions = _missions(missions)
     except RegisterError as exc:
         raise type(exc)(f"row {row_id}: {exc}", row_id=row_id,
@@ -230,9 +231,10 @@ def loads(text: str | Iterable[str], source: str = "<string>") -> Register:
         _, header = next(records)
     except StopIteration:
         raise MissingColumnError("register file has no header row") from None
-    if tuple(h.strip() for h in header) != COLUMNS:
-        missing = [c for c in COLUMNS if c not in header]
-        unexpected = [c for c in header if c not in COLUMNS]
+    stripped = tuple(h.strip() for h in header)
+    if stripped != COLUMNS:
+        missing = [c for c in COLUMNS if c not in stripped]
+        unexpected = [c for c in stripped if c not in COLUMNS]
         detail = "; ".join(f"{kind} {names}" for kind, names in
                            (("missing", missing), ("unexpected", unexpected)) if names)
         raise MissingColumnError(

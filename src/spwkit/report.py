@@ -17,27 +17,22 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .errors import SpwkitError
 from .register import Register
-from .scenario import SPW_DISPLAY_DECIMALS, ComparisonReport
+from .spw import SPW_DISPLAY_DECIMALS
 from .stats import severity_distribution, summarize
 from .taxonomy import RiskTier, classify_tier
 
-REFERENCE_FIGURES = "reference_figures.json"
+if TYPE_CHECKING:
+    from .scenario import ComparisonReport
 
 PASS_MARK = "pass"
 FLAG_MARK = "FLAG paper-stated"
-
-
-class ReportFormat(Enum):
-    MARKDOWN = "md"
-    CSV = "csv"
-    PLAIN_TEXT = "text"
 
 
 @dataclass(frozen=True)
@@ -51,75 +46,74 @@ class Section:
     checklist: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReportDocument:
-    sections: list[Section] = field(default_factory=list)
+    sections: tuple[Section, ...]
 
-    def add_table(self, title, header, rows):
-        """``rows`` yields rows of cell strings; a row given as a tuple is kept, not copied."""
-        self.sections.append(Section(title=title, header=tuple(header),
-                                     rows=tuple(map(tuple, rows))))
+    def render(self, fmt: str) -> str:
+        """The document in ``fmt``, a key of ``FORMATS``."""
+        return FORMATS[fmt](self.sections)
 
-    def add_prose(self, title, text):
-        self.sections.append(Section(title=title, prose=text))
 
-    def add_checklist(self, title, items):
-        self.sections.append(Section(title=title, checklist=tuple(items)))
+def _md_row(cells: tuple[str, ...]) -> str:
+    # In a table cell a "|" would end the cell and a line break the row.
+    return "| " + " | ".join(c.replace("|", r"\|").replace("\r\n", "\n").replace("\r", "\n")
+                             .replace("\n", "<br>") for c in cells) + " |"
 
-    def render(self, fmt: ReportFormat) -> str:
-        if fmt is ReportFormat.MARKDOWN:
-            return self._render_markdown()
-        if fmt is ReportFormat.CSV:
-            return self._render_csv()
-        return self._render_text()
 
-    def _render_markdown(self) -> str:
-        parts = []
-        for s in self.sections:
-            parts.append(f"## {s.title}\n")
-            if s.prose:
-                parts.append(s.prose + "\n")
-            elif s.checklist:
-                parts.extend(f"- [ ] {item}" for item in s.checklist)
-                parts.append("")
-            else:
-                parts.append("| " + " | ".join(s.header) + " |")
-                parts.append("|" + "|".join(" --- " for _ in s.header) + "|")
-                parts.extend("| " + " | ".join(r) + " |" for r in s.rows)
-                parts.append("")
-        return "\n".join(parts).rstrip() + "\n"
-
-    def _render_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for s in self.sections:
-            buf.write(f"# {s.title}\n")
-            if s.prose:
-                writer.writerow([s.prose])
-            elif s.checklist:
-                writer.writerow(["done", "practice"])
-                writer.writerows(["", item] for item in s.checklist)
-            else:
-                writer.writerow(s.header)
-                writer.writerows(s.rows)
-        return buf.getvalue()
-
-    def _render_text(self) -> str:
-        parts = []
-        for s in self.sections:
-            parts.append(s.title)
-            parts.append("-" * len(s.title))
-            if s.prose:
-                parts.append(s.prose)
-            elif s.checklist:
-                parts.extend(f"[ ] {item}" for item in s.checklist)
-            else:
-                table = [s.header, *s.rows]
-                widths = [max(len(row[i]) for row in table) for i in range(len(s.header))]
-                for row in table:
-                    parts.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+def _render_markdown(sections: tuple[Section, ...]) -> str:
+    parts = []
+    for s in sections:
+        parts.append(f"## {s.title}\n")
+        if s.prose:
+            parts.append(s.prose + "\n")
+        elif s.checklist:
+            parts.extend(f"- [ ] {item}" for item in s.checklist)
             parts.append("")
-        return "\n".join(parts).rstrip() + "\n"
+        else:
+            parts.append(_md_row(s.header))
+            parts.append("|" + "|".join(" --- " for _ in s.header) + "|")
+            parts.extend(map(_md_row, s.rows))
+            parts.append("")
+    return "\n".join(parts).rstrip() + "\n"
+
+
+def _render_csv(sections: tuple[Section, ...]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for s in sections:
+        buf.write(f"# {s.title}\n")
+        if s.prose:
+            writer.writerow([s.prose])
+        elif s.checklist:
+            writer.writerow(["done", "practice"])
+            writer.writerows(["", item] for item in s.checklist)
+        else:
+            writer.writerow(s.header)
+            writer.writerows(s.rows)
+    return buf.getvalue()
+
+
+def _render_text(sections: tuple[Section, ...]) -> str:
+    parts = []
+    for s in sections:
+        parts.append(s.title)
+        parts.append("-" * len(s.title))
+        if s.prose:
+            parts.append(s.prose)
+        elif s.checklist:
+            parts.extend(f"[ ] {item}" for item in s.checklist)
+        else:
+            table = [s.header, *s.rows]
+            widths = [max(len(row[i]) for row in table) for i in range(len(s.header))]
+            for row in table:
+                parts.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        parts.append("")
+    return "\n".join(parts).rstrip() + "\n"
+
+
+# Each --format value -> its renderer.
+FORMATS = {"md": _render_markdown, "csv": _render_csv, "text": _render_text}
 
 
 def fmt(value: float, decimals: int) -> str:
@@ -138,23 +132,16 @@ def fmt_pct(fraction: float, decimals: int = 0) -> str:
 
 def stats_report(register: Register) -> ReportDocument:
     """Severity summary table plus the whole-register band distribution."""
-    doc = ReportDocument()
-    rows = [
-        (s.subsystem.display_name, str(s.n), fmt(s.mean, 1), fmt(s.median, 1), fmt(s.iqr, 1))
-        for s in summarize(register)
-    ]
-    doc.add_table("Severity summary by subsystem",
-                  ("Subsystem", "n", "Mean", "Median", "IQR"), rows)
-    distribution = severity_distribution(register)
-    doc.add_table("Severity band distribution (all entries)",
-                  ("Band", "Entries"),
-                  [(str(band), str(count)) for band, count in distribution.items()])
-    return doc
+    return ReportDocument((
+        Section("Severity summary by subsystem", ("Subsystem", "n", "Mean", "Median", "IQR"),
+                tuple((s.subsystem.display_name, str(s.n), fmt(s.mean, 1), fmt(s.median, 1),
+                       fmt(s.iqr, 1)) for s in summarize(register))),
+        Section("Severity band distribution (all entries)", ("Band", "Entries"),
+                tuple((str(b), str(n)) for b, n in severity_distribution(register).items()))))
 
 
 def classify_report(register: Register) -> ReportDocument:
     """Tier classification of every register entry."""
-    doc = ReportDocument()
     # One string per distinct score and per tier, in two tables, since
     # RiskTier.HIGH == 2 == 2.0.
     scores: dict[float, str] = {}
@@ -165,11 +152,10 @@ def classify_report(register: Register) -> ReportDocument:
             scores[score] = fmt(score, 1)
         return scores[score]
 
-    doc.add_table("Operational risk tiers",
-                  ("Id", "Title", "Subsystem", "Score", "Tier"),
-                  ((e.id, e.title, e.subsystem.display_name, score_text(e.cvss_score),
-                    tiers[classify_tier(e)]) for e in register.entries))
-    return doc
+    return ReportDocument((Section(
+        "Operational risk tiers", ("Id", "Title", "Subsystem", "Score", "Tier"),
+        tuple((e.id, e.title, e.subsystem.display_name, score_text(e.cvss_score),
+               tiers[classify_tier(e)]) for e in register.entries)),))
 
 
 CHECKLIST_ITEMS = (
@@ -186,36 +172,33 @@ CHECKLIST_ITEMS = (
 
 def checklist_report() -> ReportDocument:
     """Baseline supply-chain assurance practices as a fillable checklist."""
-    doc = ReportDocument()
-    doc.add_checklist("Supply-chain baseline practices", CHECKLIST_ITEMS)
-    return doc
+    return ReportDocument((Section("Supply-chain baseline practices",
+                                   checklist=CHECKLIST_ITEMS),))
 
 
 def scenario_report(report: ComparisonReport, paper_check: bool = False) -> ReportDocument:
     """Full scenario evaluation document."""
-    doc = ReportDocument()
-
-    doc.add_table(
-        f"Strategy results: {report.scenario_name}",
-        ("Strategy", "SG", "P_op (W)", "+/- (W)", "SpW", "sigma (first-order)",
-         f"sigma (MC, n={report.monte_carlo_n})", "SEI"),
-        [(o.name, fmt(o.sg, 2), fmt(o.power.total, 2), fmt(o.power.uncertainty, 2),
-          fmt(o.spw, SPW_DISPLAY_DECIMALS), fmt(o.first_order.spw_sigma, 2),
-          fmt(o.monte_carlo.spw_sigma, 2), fmt(o.sei_value, 3)) for o in report.outcomes])
-    doc.add_table(
-        f"Comparison vs baseline ({report.baseline})",
-        ("Strategy", "SpW ratio", "Power saving", "Security reduction", "SEI ratio"),
-        [(o.name, fmt_times(o.spw_ratio), fmt_pct(o.power_saving),
-          fmt_pct(o.security_reduction, 1), fmt_times(o.sei_ratio))
-         for o in report.outcomes])
-
-    tier_rows = [(e.id, e.title, str(classify_tier(e))) for e in report.targets]
-    doc.add_table("Target classification", ("Id", "Title", "Tier"), tier_rows)
+    sections = [
+        Section(f"Strategy results: {report.scenario_name}",
+                ("Strategy", "SG", "P_op (W)", "+/- (W)", "SpW", "sigma (first-order)",
+                 f"sigma (MC, n={report.monte_carlo_n})", "SEI"),
+                tuple((o.name, fmt(o.sg, 2), fmt(o.power.total, 2), fmt(o.power.uncertainty, 2),
+                       fmt(o.spw, SPW_DISPLAY_DECIMALS), fmt(o.first_order.spw_sigma, 2),
+                       fmt(o.monte_carlo.spw_sigma, 2), fmt(o.sei_value, 3))
+                      for o in report.outcomes)),
+        Section(f"Comparison vs baseline ({report.baseline})",
+                ("Strategy", "SpW ratio", "Power saving", "Security reduction", "SEI ratio"),
+                tuple((o.name, fmt_times(o.spw_ratio), fmt_pct(o.power_saving),
+                       fmt_pct(o.security_reduction, 1), fmt_times(o.sei_ratio))
+                      for o in report.outcomes)),
+        Section("Target classification", ("Id", "Title", "Tier"),
+                tuple((e.id, e.title, str(classify_tier(e))) for e in report.targets)),
+    ]
 
     composed = [o.name for o in report.outcomes if o.rrf_composed]
     if composed:
-        doc.add_prose("Layered controls",
-                      "Effective RRF composed as 1 - prod(1 - rrf) for: " + ", ".join(composed))
+        sections.append(Section("Layered controls", prose="Effective RRF composed as "
+                                "1 - prod(1 - rrf) for: " + ", ".join(composed)))
 
     # max keeps the first of equal ratios, so a tie goes to the first-listed strategy.
     best = max((o for o in report.outcomes if o.name != report.baseline),
@@ -223,24 +206,24 @@ def scenario_report(report: ComparisonReport, paper_check: bool = False) -> Repo
     controls = " + ".join(best.controls) + " vs " + " + ".join(
         report.outcome(report.baseline).controls)
     finding = (
-        f"{best.name} delivers {fmt(best.spw_ratio, 2)}x the per-watt security "
+        f"{best.name} delivers {fmt_times(best.spw_ratio)} the per-watt security "
         f"of {report.baseline} while using {fmt_pct(best.power_saving)} less power "
         f"({fmt_pct(best.security_reduction, 1)} lower absolute gain)")
-    doc.add_table(
+    sections.append(Section(
         "Summary",
         ("Scenario", "Key Controls", "SpW Advantage", "Power Saving", "Principal Finding"),
-        [(report.scenario_name, controls,
-          fmt_times(best.spw_ratio), fmt_pct(best.power_saving), finding)])
+        ((report.scenario_name, controls, fmt_times(best.spw_ratio), fmt_pct(best.power_saving),
+          finding),)))
 
     if paper_check:
-        _append_paper_check(doc, report)
-    return doc
+        sections.extend(_paper_check_sections(report))
+    return ReportDocument(tuple(sections))
 
 
 @lru_cache(maxsize=1)
 def _reference_figures() -> dict:
     """The bundled published figures, keyed by scenario name."""
-    text = (resources.files("spwkit") / "data" / REFERENCE_FIGURES).read_text(
+    text = (resources.files("spwkit") / "data" / "reference_figures.json").read_text(
         encoding="utf-8")
     return json.loads(text)
 
@@ -287,13 +270,12 @@ def paper_check_rows(report: ComparisonReport) -> list[tuple[str, str, str, str]
     return rows
 
 
-def _append_paper_check(doc: ReportDocument, report: ComparisonReport) -> None:
+def _paper_check_sections(report: ComparisonReport) -> tuple[Section, ...]:
     rows = paper_check_rows(report)
     if rows is None:
-        doc.add_prose("Published-figure check",
-                      "No published reference figures on file for this scenario.")
-        return
-    doc.add_table("Published-figure check", ("Quantity", "Computed", "Published", "Status"),
-                  rows)
-    for note in _reference_figures()[report.scenario_name].get("notes", []):
-        doc.add_prose("Note", note)
+        return (Section("Published-figure check",
+                        prose="No published reference figures on file for this scenario."),)
+    return (Section("Published-figure check", ("Quantity", "Computed", "Published", "Status"),
+                    tuple(rows)),
+            *(Section("Note", prose=note)
+              for note in _reference_figures()[report.scenario_name].get("notes", [])))

@@ -1,7 +1,7 @@
 """Declarative trade-off scenarios: loading, validation and evaluation.
 
 A scenario file is UTF-8 JSON (a leading byte order mark is skipped) with
-this shape and no other keys, at any level::
+this shape, no other keys and no key twice, at any level::
 
     {
       "name": "...",
@@ -48,6 +48,7 @@ import json
 import math
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -65,6 +66,8 @@ from .errors import (
 )
 from .register import Register, VulnerabilityEntry, load_register
 from .spw import (
+    DEFAULT_MONTE_CARLO_N,
+    SPW_DISPLAY_DECIMALS,
     PowerComponent,
     PowerEstimate,
     SeiCriteria,
@@ -79,10 +82,7 @@ from .spw import (
     spw_normalised,
 )
 
-DEFAULT_MONTE_CARLO_N = 10_000
 MAX_MONTE_CARLO_N = 1_000_000
-
-SPW_DISPLAY_DECIMALS = 2
 
 
 @dataclass(frozen=True)
@@ -210,6 +210,15 @@ def _object(doc, keys, where: str) -> dict:
     unknown = set(doc).difference(keys)
     if unknown:
         raise SchemaViolationError(f"{where}: unknown key(s): {sorted(unknown)}")
+    return doc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; ``json`` alone keeps a repeated key's last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        repeated = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise SchemaViolationError(f"key '{repeated}' appears more than once in an object")
     return doc
 
 
@@ -370,9 +379,11 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SchemaViolationError(f"cannot read scenario file {path}: {exc}") from exc
+    except SchemaViolationError as exc:
+        raise SchemaViolationError(f"{path}: {exc}") from None
     except ValueError as exc:  # undecodable bytes, bad JSON, over-long int literals
         raise SchemaViolationError(f"{path} is not valid JSON: {exc}") from exc
     scenario = parse_scenario(doc, base_dir=path.parent)

@@ -34,6 +34,7 @@ n-length array in all.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +53,9 @@ from .errors import (
 # float64 values (128 KB) drawn per sampler chunk: the chunk stays
 # cache-sized next to the n-length samples array.
 MONTE_CARLO_CHUNK = 1 << 14
+
+DEFAULT_MONTE_CARLO_N = 10_000
+SPW_DISPLAY_DECIMALS = 2  # SpW as reports print it, and as the index takes it
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,7 @@ def spw(
     sigma_method: SigmaMethod = SigmaMethod.FIRST_ORDER,
     *,
     components: Sequence[PowerComponent] | None = None,
-    n_samples: int = 10_000,
+    n_samples: int = DEFAULT_MONTE_CARLO_N,
     seed: int = 0,
 ) -> SpwResult:
     """Security gain per operational watt, with a sigma band.
@@ -256,7 +260,9 @@ def spw(
     is treated as a single component.
 
     Raises ``FactorOutOfRangeError`` if ``sg < 0``, ``u < 0``, ``total + 2u``
-    is not finite, or SpW or its sigma overflows (a near-zero total).
+    is not finite, or SpW or its sigma overflows (a near-zero total); and,
+    for Monte Carlo, unless ``n_samples`` and ``seed`` are integers >= 0.
+    Fewer than two samples give sigma 0.0.
     """
     total, uncertainty = power
     if total <= 0:
@@ -270,6 +276,9 @@ def spw(
     if sigma_method is SigmaMethod.FIRST_ORDER:
         sigma = ratio * (uncertainty / total)
     else:
+        for name, value in (("n_samples", n_samples), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise FactorOutOfRangeError(f"{name} must be an integer >= 0, got {value!r}")
         if components:
             centres = np.array([c.total for c in components])
             widths = np.array([c.uncertainty for c in components])

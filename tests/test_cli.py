@@ -479,6 +479,61 @@ class TestScenario:
         assert proc.stdout == b""
         assert f"'{field}'" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("key, value", [("seed", "99"), ("name", '"other"'),
+                                            ("latency", "0.5")],
+                             ids=["seed", "name", "nested"])
+    def test_repeated_key_rejected(self, capsys, tmp_path, scenario_s1_path, key, value):
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        text = json.dumps(doc).replace(f'"{key}": ', f'"{key}": {value}, "{key}": ', 1)
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}: key '{key}' appears more than once" in err
+        assert "internal error" not in err
+
+
+def _md_tables(out):
+    """Each Markdown table in ``out`` as the cell counts of its lines, header first."""
+    return [[len(re.split(r"(?<!\\)\|", line)) - 2 for line in block.splitlines()]
+            for block in out.split("\n\n") if block.startswith("|")]
+
+
+class TestMarkdownCells:
+    """A "|" or a line break inside a cell neither adds a cell nor splits a row."""
+
+    def test_strategy_names_holding_a_pipe(self, capsys, tmp_path, scenario_s1_path):
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        for strategy in doc["strategies"]:
+            strategy["name"] += " | x"
+        doc["baseline"] += " | x"
+        path = tmp_path / "piped.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 0, err
+        tables = _md_tables(out)
+        assert len(tables) == 4
+        for counts in tables:
+            assert counts == [counts[0]] * len(counts)
+        assert "| ECC \\| x | 6.48 | 0.18 |" in out
+
+    def test_register_title_holding_a_pipe_and_line_breaks(self, capsys, tmp_path):
+        path = tmp_path / "register.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            writer.writerow(COLUMNS)
+            for row_id, title in (("C1", "Uplink | spoof\nsecond line"), ("C2", "a\r\nb\rc")):
+                writer.writerow([row_id, title, "comms", "S", "", "", "9.0",
+                                 "command_integrity", "", "", "", ""])
+        code, out, err = run(capsys, "classify", str(path), "--format", "md")
+        assert code == 0, err
+        assert _md_tables(out) == [[5, 5, 5, 5]]
+        assert "| C1 | Uplink \\| spoof<br>second line | Communications | 9.0 |" in out
+        assert "| C2 | a<br>b<br>c |" in out
+
 
 class TestChecklist:
     def test_markdown_items(self, capsys):

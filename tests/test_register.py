@@ -148,6 +148,15 @@ class TestLoading:
         with pytest.raises(MissingColumnError, match="title"):
             loads(HEADER.replace("title", "name") + "\n")
 
+    def test_padded_header_in_the_wrong_order(self):
+        padded = [f" {c} " for c in COLUMNS]
+        padded[0], padded[1] = padded[1], padded[0]
+        with pytest.raises(MissingColumnError,
+                           match="^header does not match register schema: wrong column order$"
+                           ) as exc_info:
+            loads(",".join(padded) + "\n")
+        assert exc_info.value.column is None
+
     def test_no_silent_drops(self):
         reg = loads(make_csv(row(id="A1"), row(id="A2"), row(id="A3")))
         assert [e.id for e in reg] == ["A1", "A2", "A3"]
@@ -187,6 +196,13 @@ class TestLoading:
         reg = loads(make_csv(row(
             vector="CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", score="9.8")))
         assert reg.entries[0].cvss_vector is not None
+
+    def test_vector_only_row_takes_the_vector_score(self):
+        reg = loads(make_csv(row(
+            id="C9", vector="CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", score="")))
+        entry = reg.entries[0]
+        assert entry.cvss_score == 9.8 and entry.cvss_vector is not None
+        assert loads(serialize(reg)) == reg
 
     def test_bad_stride_token(self):
         with pytest.raises(BadStrideTokenError, match="A1"):

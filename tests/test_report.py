@@ -1,11 +1,16 @@
-"""Report documents: what a built report keeps in memory."""
+"""Report documents: what a built report keeps in memory, and how they render."""
 
+import ast
 import dataclasses
 import tracemalloc
 import warnings
+from pathlib import Path
 
+import pytest
+
+from spwkit import report
 from spwkit.register import Register, load_bundled_register
-from spwkit.report import classify_report
+from spwkit.report import ReportDocument, Section, classify_report
 
 # Bytes per row a classify table may keep beyond the register. One shared
 # string per distinct score and tier leaves about a row tuple (56-88 B,
@@ -41,3 +46,21 @@ def test_classify_scores_keep_the_sign_of_zero():
         warnings.simplefilter("ignore")
         rows = classify_report(register).sections[0].rows
     assert [r[3] for r in rows] == ["0.0", "-0.0", "0.0", "2.0"]
+
+
+def test_markdown_escapes_header_and_body_cells():
+    doc = ReportDocument((Section("T", ("a|b", "c\nd"), (("1|2", "3\r\n4"),)),))
+    assert doc.render("md") == "## T\n\n| a\\|b | c<br>d |\n| --- | --- |\n| 1\\|2 | 3<br>4 |\n"
+    assert doc.render("csv") == '# T\na|b,"c\nd"\n1|2,"3\r\n4"\n'  # csv quotes as before
+
+
+def test_documents_are_frozen():
+    doc = ReportDocument((Section("T", prose="p"),))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.sections = ()
+
+
+def test_report_imports_scenario_only_for_type_checking():
+    tree = ast.parse(Path(report.__file__).read_text(encoding="utf-8"))
+    runtime = [node.module for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert "scenario" not in runtime and "spw" in runtime

@@ -34,7 +34,7 @@ from spwkit.spw import (
 )
 from spwkit.spw import _power_samples, _sample_sd
 
-from .sigma_oracle import sigma_two_uniforms
+from .sigma_oracle import sigma_two_uniforms, sigma_uniforms
 
 
 def contribution(cvss, p, m, rrf, vuln_id="V1"):
@@ -324,6 +324,21 @@ class TestSpw:
         scaled = spw(sg, PowerEstimate(total * k, 0.0))
         assert scaled.spw == pytest.approx(base.spw / k, rel=1e-12)
 
+    @pytest.mark.parametrize("argument, value", [
+        ("n_samples", -5), ("n_samples", 2.5), ("n_samples", True),
+        ("seed", -1), ("seed", 1.0),
+    ])
+    def test_monte_carlo_rejects_a_bad_count_or_seed(self, argument, value):
+        with pytest.raises(FactorOutOfRangeError, match=f"^{argument} must be an integer"):
+            spw(6.48, PowerEstimate(0.18, 0.02), SigmaMethod.MONTE_CARLO, **{argument: value})
+        spw(6.48, PowerEstimate(0.18, 0.02), **{argument: value})  # first-order ignores both
+
+    def test_monte_carlo_takes_numpy_integers(self):
+        as_numpy = spw(6.48, PowerEstimate(0.18, 0.02), SigmaMethod.MONTE_CARLO,
+                       n_samples=np.int64(1000), seed=np.uint32(3))
+        assert as_numpy == spw(6.48, PowerEstimate(0.18, 0.02), SigmaMethod.MONTE_CARLO,
+                               n_samples=1000, seed=3)
+
 
 MC = SigmaMethod.MONTE_CARLO
 
@@ -436,6 +451,62 @@ class TestSampleSd:
     def test_an_infinite_value_gives_nan(self):
         with np.errstate(over="ignore", invalid="ignore"):  # as spw() calls it
             assert math.isnan(_sample_sd(np.array([1.0, math.inf, 2.0])))
+
+
+S2_PAIRS = pytest.mark.parametrize("sg, first, second", [
+    (18.62, (9.6, 1.0), (2.1, 0.2)),
+    (16.66, (1.2, 0.15), (3.6, 0.4)),
+], ids=["S2-Centralised", "S2-DSP"])
+
+# Bundled-scale components, mixing wide and narrow intervals.
+SIX_COMPONENTS = [(0.18, 0.02), (0.52, 0.05), (1.2, 0.15), (3.6, 0.4), (9.6, 1.0), (2.1, 0.2)]
+
+
+class TestSigmaOracle:
+    """The k-component oracle against the two-component form, a midpoint
+    integral and itself at higher precision, then the sampler against it."""
+
+    @S2_PAIRS
+    def test_general_form_equals_the_two_component_form(self, sg, first, second):
+        assert sigma_uniforms(sg, [first, second]) == pytest.approx(
+            sigma_two_uniforms(sg, *first, *second), rel=1e-12)
+
+    def test_three_components_match_a_midpoint_integral(self):
+        sg, components, m = 16.66, [(1.2, 0.15), (3.6, 0.4), (0.5, 0.1)], 200
+        xs, ys, zs = (c - u + (np.arange(m) + 0.5) * 2 * u / m for c, u in components)
+        plane = ys[:, None] + zs[None, :]
+        sums = np.zeros(2)
+        for x in xs:
+            inverse = 1 / (x + plane)
+            sums += inverse.sum(), (inverse * inverse).sum()
+        mean_inverse, mean_inverse_square = sums / m**3
+        midpoint = sg * math.sqrt(mean_inverse_square - mean_inverse**2)
+        assert sigma_uniforms(sg, components) == pytest.approx(midpoint, rel=1e-4)
+
+    def test_six_components_need_no_more_digits(self):
+        assert sigma_uniforms(16.66, SIX_COMPONENTS) == sigma_uniforms(
+            16.66, SIX_COMPONENTS, digits=80)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.floats(min_value=0.1, max_value=50.0),
+           st.lists(st.tuples(st.floats(min_value=0.1, max_value=10.0),    # centre
+                              st.floats(min_value=0.05, max_value=0.5)),  # half-width / centre
+                    min_size=1, max_size=6),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @example(16.66, [(c, u / c) for c, u in SIX_COMPONENTS], 0)
+    def test_monte_carlo_lies_within_5_standard_errors(self, sg, parts, seed):
+        n = 20_000
+        components = [PowerComponent(f"p{i}", c, uncertainty=c * r)
+                      for i, (c, r) in enumerate(parts)]
+        centres = np.array([p.total for p in components])
+        widths = np.array([p.uncertainty for p in components])
+        exact = sigma_uniforms(sg, zip(centres.tolist(), widths.tolist()))
+        x = sg / _power_samples(centres, widths, n, seed)  # spw's draws
+        kurtosis = np.mean((x - x.mean()) ** 4) / np.var(x) ** 2
+        standard_error = exact * math.sqrt((kurtosis - 1) / (4 * (n - 1)))
+        result = spw(sg, operational_power(components), SigmaMethod.MONTE_CARLO,
+                     components=components, n_samples=n, seed=seed)
+        assert abs(result.spw_sigma - exact) < 5 * standard_error
 
 
 class TestValueTypesCheckThemselves:
