@@ -140,8 +140,13 @@ def cmd_checklist(args) -> int:
     return EXIT_OK
 
 
+def _diagnostic(prefix: str, message) -> None:
+    """One stderr line in one write (print() makes two), with CR and LF as ``\\r`` and ``\\n``."""
+    sys.stderr.write(prefix + str(message).replace("\r", r"\r").replace("\n", r"\n") + "\n")
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    sys.stderr.write(f"warning: {category.__name__}: {message}\n")  # print() writes twice
+    _diagnostic(f"warning: {category.__name__}: ", message)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -151,10 +156,10 @@ def main(argv: list[str] | None = None) -> int:
             warnings.showwarning = _show_warning
             return args.handler(args)
     except (SpwkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnostic("error: ", exc)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+        _diagnostic("internal error: ", exc)
         return EXIT_INTERNAL
 
 

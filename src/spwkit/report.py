@@ -55,18 +55,22 @@ class ReportDocument:
         return FORMATS[fmt](self.sections)
 
 
+def _one_line(text: str, br: str) -> str:
+    """``text`` with each line break (CRLF, CR or LF) written as ``br``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").replace("\n", br)
+
+
 def _md_row(cells: tuple[str, ...]) -> str:
-    # In a table cell a "|" would end the cell and a line break the row.
-    return "| " + " | ".join(c.replace("|", r"\|").replace("\r\n", "\n").replace("\r", "\n")
-                             .replace("\n", "<br>") for c in cells) + " |"
+    # A "|" would end the cell; a line break, here or in a title or prose, the block.
+    return "| " + " | ".join(_one_line(c.replace("|", r"\|"), "<br>") for c in cells) + " |"
 
 
 def _render_markdown(sections: tuple[Section, ...]) -> str:
     parts = []
     for s in sections:
-        parts.append(f"## {s.title}\n")
+        parts.append(f"## {_one_line(s.title, '<br>')}\n")
         if s.prose:
-            parts.append(s.prose + "\n")
+            parts.append(_one_line(s.prose, "<br>") + "\n")
         elif s.checklist:
             parts.extend(f"- [ ] {item}" for item in s.checklist)
             parts.append("")
@@ -82,7 +86,7 @@ def _render_csv(sections: tuple[Section, ...]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for s in sections:
-        buf.write(f"# {s.title}\n")
+        buf.write(f"# {_one_line(s.title, ' ')}\n")
         if s.prose:
             writer.writerow([s.prose])
         elif s.checklist:
@@ -97,8 +101,8 @@ def _render_csv(sections: tuple[Section, ...]) -> str:
 def _render_text(sections: tuple[Section, ...]) -> str:
     parts = []
     for s in sections:
-        parts.append(s.title)
-        parts.append("-" * len(s.title))
+        title = _one_line(s.title, " ")
+        parts.extend((title, "-" * len(title)))
         if s.prose:
             parts.append(s.prose)
         elif s.checklist:

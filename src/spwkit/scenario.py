@@ -31,6 +31,10 @@ this shape, no other keys and no key twice, at any level::
       ]
     }
 
+Of several faults the first found is reported: an object's own keys come
+before the objects nested in it, and the ``monte_carlo_n`` and ``seed``
+ranges, then the three rules that span strategies, come last.
+
 Every control in a strategy applies to every target of that strategy;
 when a strategy layers several controls the effective risk-reduction
 factor is ``1 - prod(1 - rrf_j)`` (independent layers), and evaluation
@@ -83,6 +87,7 @@ from .spw import (
 )
 
 MAX_MONTE_CARLO_N = 1_000_000
+_UNIT = (float, 0, 1)  # a _fields rule: a number in [0, 1]
 
 
 @dataclass(frozen=True)
@@ -203,16 +208,6 @@ class ComparisonReport:
     comparison = outcome
 
 
-def _object(doc, keys, where: str) -> dict:
-    """``doc`` checked as a JSON object holding no key outside ``keys``."""
-    if not isinstance(doc, dict):
-        raise SchemaViolationError(f"{where} must be a JSON object")
-    unknown = set(doc).difference(keys)
-    if unknown:
-        raise SchemaViolationError(f"{where}: unknown key(s): {sorted(unknown)}")
-    return doc
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's pairs as a dict; ``json`` alone keeps a repeated key's last value."""
     doc = dict(pairs)
@@ -250,73 +245,57 @@ def _typed(value, kind: type, key: str, where: str, lo=-math.inf, hi=math.inf):
     return value
 
 
-def _require(mapping: dict, key: str, kind: type, where: str, lo=-math.inf, hi=math.inf):
-    if key not in mapping:
-        raise SchemaViolationError(f"{where}: missing key '{key}'")
-    return _typed(mapping[key], kind, key, where, lo, hi)
-
-
-def _optional(mapping: dict, key: str, default, where: str):
-    if key not in mapping:
-        return default
-    return _typed(mapping[key], type(default), key, where)
+def _fields(doc, where: str, /, **rules) -> list:
+    """One value per rule, in rule order, from ``doc`` checked as a JSON
+    object holding no key outside ``rules``. A rule is a type (a required
+    key), a ``(type, lo, hi)`` tuple (a required key within those bounds)
+    or a default value (an optional key of the default's type)."""
+    if not isinstance(doc, dict):
+        raise SchemaViolationError(f"{where} must be a JSON object")
+    if not rules.keys() >= doc.keys():
+        raise SchemaViolationError(
+            f"{where}: unknown key(s): {sorted(doc.keys() - rules.keys())}")
+    values = []
+    for key, rule in rules.items():
+        kind, lo, hi = rule if type(rule) is tuple else (rule, -math.inf, math.inf)
+        if key in doc:
+            values.append(_typed(doc[key], kind if type(kind) is type else type(kind),
+                                 key, where, lo, hi))
+        elif type(kind) is type:
+            raise SchemaViolationError(f"{where}: missing key '{key}'")
+        else:
+            values.append(kind)
+    return values
 
 
 def _parse_component(doc, where: str) -> PowerComponent:
-    _object(doc, {"label", "p_base_w", "duty_cycle", "env_factor", "node_count",
-                  "uncertainty_w"}, where)
-    return PowerComponent(
-        label=_require(doc, "label", str, where),
-        p_base=_require(doc, "p_base_w", float, where),
-        duty_cycle=_optional(doc, "duty_cycle", 1.0, where),
-        environmental_factor=_optional(doc, "env_factor", 1.0, where),
-        node_count=_optional(doc, "node_count", 1, where),
-        uncertainty=_optional(doc, "uncertainty_w", 0.0, where),
-    )
+    return PowerComponent(*_fields(doc, where, label=str, p_base_w=float, duty_cycle=1.0,
+                                   env_factor=1.0, node_count=1, uncertainty_w=0.0))
 
 
 def _parse_control(doc, where: str) -> ControlSpec:
-    _object(doc, {"id", "rrf", "description", "adapted_from", "power"}, where)
-    power = _require(doc, "power", list, where)
+    power, control_id, rrf, _, _ = _fields(doc, where, power=list, id=str, rrf=_UNIT,
+                                           description="", adapted_from="")
     if not power:
         raise SchemaViolationError(f"{where}: power model must not be empty")
-    control = ControlSpec(
-        control_id=_require(doc, "id", str, where),
-        rrf=_require(doc, "rrf", float, where, 0, 1),
-        power_components=tuple(
-            _parse_component(c, f"{where}.power[{i}]") for i, c in enumerate(power)))
-    for key in ("description", "adapted_from"):  # annotations: checked, not kept
-        _optional(doc, key, "", where)
-    return control
+    return ControlSpec(control_id, rrf, tuple(
+        _parse_component(c, f"{where}.power[{i}]") for i, c in enumerate(power)))
 
 
 def _parse_target(doc, where: str) -> TargetSpec:
-    _object(doc, {"vuln_id", "p", "m"}, where)
-    return TargetSpec(
-        vuln_id=_require(doc, "vuln_id", str, where),
-        exploit_probability=_require(doc, "p", float, where, 0, 1),
-        mission_criticality=_require(doc, "m", float, where, 0, 1))
+    return TargetSpec(*_fields(doc, where, vuln_id=str, p=_UNIT, m=_UNIT))
 
 
 def _parse_strategy(doc, index: int) -> StrategySpec:
     where = f"strategies[{index}]"
-    _object(doc, {"name", "controls", "targets", "criteria"}, where)
-    name = _require(doc, "name", str, where)
-    controls_doc = _require(doc, "controls", list, where)
-    if not controls_doc:
+    name, controls, targets, criteria = _fields(doc, where, name=str, controls=list,
+                                                targets=list, criteria=dict)
+    if not controls:
         raise SchemaViolationError(f"{where}: needs at least one control")
-    controls = tuple(
-        _parse_control(c, f"{where}.controls[{i}]") for i, c in enumerate(controls_doc))
-    targets = tuple(_parse_target(t, f"{where}.targets[{i}]")
-                    for i, t in enumerate(_require(doc, "targets", list, where)))
-    c_where = f"{where}.criteria"
-    criteria = _object(_require(doc, "criteria", dict, where),
-                       {"latency", "storage", "complexity"}, c_where)
     strategy = StrategySpec(
-        name=name, controls=controls, targets=targets,
-        latency_score=_require(criteria, "latency", float, c_where, 0, 1),
-        storage_score=_require(criteria, "storage", float, c_where, 0, 1),
-        complexity_score=_require(criteria, "complexity", float, c_where, 0, 1))
+        name, tuple(_parse_control(c, f"{where}.controls[{i}]") for i, c in enumerate(controls)),
+        tuple(_parse_target(t, f"{where}.targets[{i}]") for i, t in enumerate(targets)),
+        *_fields(criteria, f"{where}.criteria", latency=_UNIT, storage=_UNIT, complexity=_UNIT))
 
     labels = [c.label for c in strategy.power_components()]
     for label in sorted({l for l in labels if labels.count(l) > 1}):
@@ -329,25 +308,17 @@ def _parse_strategy(doc, index: int) -> StrategySpec:
 
 def parse_scenario(doc: dict, base_dir: Path | None = None) -> ScenarioSpec:
     """Validate a scenario document; register path resolves against base_dir."""
-    _object(doc, {"name", "register", "baseline", "weights", "monte_carlo_n", "seed",
-                  "strategies"}, "scenario")
-    name = _require(doc, "name", str, "scenario")
-    register_path = _require(doc, "register", str, "scenario")
+    name, register_path, weights, strategies, baseline, monte_carlo_n, seed = _fields(
+        doc, "scenario", name=str, register=str, weights=dict, strategies=list, baseline=str,
+        monte_carlo_n=DEFAULT_MONTE_CARLO_N, seed=0)
     if base_dir is not None:
         register_path = str((base_dir / register_path).absolute())
-
-    weight_keys = ("alpha", "beta", "gamma", "delta")
-    weights_doc = _object(_require(doc, "weights", dict, "scenario"), weight_keys, "weights")
-    weights = SeiWeights(**{k: _require(weights_doc, k, float, "weights") for k in weight_keys})
-
-    strategies = tuple(_parse_strategy(s, i) for i, s in
-                       enumerate(_require(doc, "strategies", list, "scenario")))
     return ScenarioSpec(
-        name=name, register_path=register_path,
-        baseline_strategy=_require(doc, "baseline", str, "scenario"),
-        strategies=strategies, sei_weights=weights,
-        monte_carlo_n=_optional(doc, "monte_carlo_n", DEFAULT_MONTE_CARLO_N, "scenario"),
-        seed=_optional(doc, "seed", 0, "scenario"))
+        name=name, register_path=register_path, baseline_strategy=baseline,
+        sei_weights=SeiWeights(*_fields(weights, "weights", alpha=float, beta=float,
+                                        gamma=float, delta=float)),
+        strategies=tuple(_parse_strategy(s, i) for i, s in enumerate(strategies)),
+        monte_carlo_n=monte_carlo_n, seed=seed)
 
 
 def check_targets_resolve(scenario: ScenarioSpec,

@@ -55,15 +55,11 @@ def summarize_scores(scores: list[float]) -> tuple[float, float, float]:
 
 def summarize(register: Register) -> list[SubsystemSummary]:
     """One summary row per subsystem present, in ``Subsystem`` order."""
-    out = []
-    for subsystem in Subsystem:
-        scores = [e.cvss_score for e in register.entries if e.subsystem == subsystem]
-        if not scores:
-            continue
-        mean, median, iqr = summarize_scores(scores)
-        out.append(SubsystemSummary(
-            subsystem=subsystem, n=len(scores), mean=mean, median=median, iqr=iqr))
-    return out
+    scores: dict[Subsystem, list[float]] = {subsystem: [] for subsystem in Subsystem}
+    for entry in register.entries:
+        scores[entry.subsystem].append(entry.cvss_score)
+    return [SubsystemSummary(subsystem, len(group), *summarize_scores(group))
+            for subsystem, group in scores.items() if group]
 
 
 def severity_distribution(register: Register) -> dict[Severity, int]:

@@ -462,6 +462,37 @@ class TestScenario:
             f"lists power label '{power[0]['label']}' more than once; "
             "shared components must not be double-counted\n")
 
+    @pytest.mark.filterwarnings("default::spwkit.errors.DuplicatePowerLabelWarning")
+    def test_warning_naming_a_strategy_with_line_breaks(self, capsys, tmp_path,
+                                                         scenario_s1_path):
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        strategy = doc["strategies"][0]
+        strategy["name"] = "ECC\n## injected"
+        power = strategy["controls"][0]["power"]
+        power.append(dict(power[0]))
+        path = tmp_path / "duplicate_label.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "scenario", str(path))
+        assert code == 0, err
+        assert err == (
+            "warning: DuplicatePowerLabelWarning: strategy 'ECC\\n## injected' "
+            f"lists power label '{power[0]['label']}' more than once; "
+            "shared components must not be double-counted\n")
+
+    def test_error_naming_a_strategy_with_line_breaks(self, capsys, tmp_path, scenario_s1_path):
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        strategy = doc["strategies"][0]
+        strategy["name"] = "ECC\r\n## injected"
+        strategy["controls"][0]["power"][0]["duty_cycle"] = 0.0
+        path = tmp_path / "zero_power.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: strategy 'ECC\\r\\n## injected': "
+                       "operational power 0.0 W must be > 0\n")
+
     @pytest.mark.parametrize("field", ["name", "label"])
     def test_lone_surrogate_in_a_string(self, tmp_path, scenario_s1_path, field):
         # A subprocess, because only a real stdout fails to encode the report.
@@ -533,6 +564,46 @@ class TestMarkdownCells:
         assert _md_tables(out) == [[5, 5, 5, 5]]
         assert "| C1 | Uplink \\| spoof<br>second line | Communications | 9.0 |" in out
         assert "| C2 | a<br>b<br>c |" in out
+
+
+class TestOneLineTitlesAndProse:
+    """A line break in a title or in prose neither ends a heading nor starts a block."""
+
+    @pytest.fixture
+    def scenario_doc(self, scenario_s1_path):
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        return doc
+
+    # Each report opens with its title, then the results table's header.
+    @pytest.mark.parametrize("fmt, opening", [
+        ("md", "## Strategy results: S1 | first<br>second<br>third<br>fourth\n\n| Strategy |"),
+        ("csv", "# Strategy results: S1 | first second third fourth\nStrategy,SG,"),
+        ("text", "Strategy results: S1 | first second third fourth\n" + "-" * 48
+         + "\nStrategy "),
+    ], ids=["md", "csv", "text"])
+    def test_scenario_name_holding_line_breaks(self, capsys, tmp_path, scenario_doc, fmt,
+                                               opening):
+        scenario_doc["name"] = "S1 | first\nsecond\r\nthird\rfourth"
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(scenario_doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path), "--format", fmt)
+        assert code == 0, err
+        assert out.startswith(opening)
+
+    def test_layered_strategy_name_cannot_add_a_heading(self, capsys, tmp_path, scenario_doc):
+        strategy = scenario_doc["strategies"][0]
+        strategy["name"] = "ECC\n## injected"
+        control = strategy["controls"][0]
+        strategy["controls"].append({**control, "id": "SC-13",
+                                     "power": [{**control["power"][0], "label": "second"}]})
+        path = tmp_path / "layered.json"
+        path.write_text(json.dumps(scenario_doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path))
+        assert code == 0, err
+        assert "## Layered controls\n\nEffective RRF composed as 1 - prod(1 - rrf) for: " \
+               "ECC<br>## injected\n" in out
+        assert "## injected" not in out.splitlines()
 
 
 class TestChecklist:

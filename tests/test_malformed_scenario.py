@@ -124,3 +124,17 @@ def test_probe_names_the_field(scenario_file, probe, message):
     assert code == 2
     assert out == ""
     assert message in err and "internal error" not in err
+
+
+# Two faults each: an object's own keys are checked before the objects
+# nested in it, whichever fault the file order would reach first.
+@pytest.mark.parametrize("replacements,message", [
+    ([(("weights", "alpha"), "x"), (("baseline",), 1)], "scenario: 'baseline' must be str"),
+    ([(POWER[:4] + ("rrf",), 2), (("strategies", 0, "targets"), 0)],
+     "strategies[0]: 'targets' must be list"),
+    ([(POWER + ("p_base_w",), "x"), (POWER[:4] + ("description",), 1)],
+     "strategies[0].controls[0]: 'description' must be str"),
+], ids=["top-level", "strategy", "control"])
+def test_own_keys_before_nested_objects(scenario_file, replacements, message):
+    code, out, err = _run(scenario_file, replacements)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
