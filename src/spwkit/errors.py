@@ -1,8 +1,17 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and one bounds check, ``check_range``."""
+
+import math
 
 
 class SpwkitError(Exception):
     """Base class for all toolkit errors."""
+
+
+def check_range(error, where, name, value, lo=-math.inf, hi=math.inf):
+    """Raise ``error``, naming the value, unless ``lo <= value <= hi`` (never true of NaN)."""
+    if not lo <= value <= hi:
+        raise error(f"{where}: {name} must be >= {lo}, got {value}" if hi == math.inf
+                    else f"{where}: {name}={value} outside [{lo}, {hi}]")
 
 
 # --- CVSS vector parsing ---------------------------------------------------

@@ -104,11 +104,11 @@ def _render_text(sections: tuple[Section, ...]) -> str:
         title = _one_line(s.title, " ")
         parts.extend((title, "-" * len(title)))
         if s.prose:
-            parts.append(s.prose)
+            parts.append(_one_line(s.prose, " "))
         elif s.checklist:
             parts.extend(f"[ ] {item}" for item in s.checklist)
         else:
-            table = [s.header, *s.rows]
+            table = [[_one_line(c, " ") for c in row] for row in (s.header, *s.rows)]
             widths = [max(len(row[i]) for row in table) for i in range(len(s.header))]
             for row in table:
                 parts.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())

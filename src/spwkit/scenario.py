@@ -67,6 +67,7 @@ from .errors import (
     UnknownBaselineError,
     UnresolvedVulnIdError,
     ZeroBaselineError,
+    check_range,
 )
 from .register import Register, VulnerabilityEntry, load_register
 from .spw import (
@@ -144,11 +145,9 @@ class ScenarioSpec:
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise SchemaViolationError(f"scenario: {key} must be an int, got {value!r}")
-        if not 1 <= self.monte_carlo_n <= MAX_MONTE_CARLO_N:
-            raise SchemaViolationError(f"scenario: monte_carlo_n={self.monte_carlo_n} "
-                                       f"outside [1, {MAX_MONTE_CARLO_N}]")
-        if self.seed < 0:
-            raise SchemaViolationError(f"scenario: seed must be >= 0, got {self.seed}")
+        check_range(SchemaViolationError, "scenario", "monte_carlo_n", self.monte_carlo_n,
+                    1, MAX_MONTE_CARLO_N)
+        check_range(SchemaViolationError, "scenario", "seed", self.seed, 0)
         if len(self.strategies) < 2:
             raise SchemaViolationError("scenario needs at least two strategies")
         by_name = {s.name: s for s in self.strategies}
@@ -239,9 +238,7 @@ def _typed(value, kind: type, key: str, where: str, lo=-math.inf, hi=math.inf):
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise SchemaViolationError(f"{where}: '{key}' must be an integer, got {value}")
     value = kind(value)
-    if not lo <= value <= hi:
-        raise SchemaViolationError(f"{where}: {key} must be >= {lo}, got {value}" if hi == math.inf
-                                   else f"{where}: {key}={value} outside [{lo}, {hi}]")
+    check_range(SchemaViolationError, where, key, value, lo, hi)
     return value
 
 
@@ -269,8 +266,11 @@ def _fields(doc, where: str, /, **rules) -> list:
 
 
 def _parse_component(doc, where: str) -> PowerComponent:
-    return PowerComponent(*_fields(doc, where, label=str, p_base_w=float, duty_cycle=1.0,
-                                   env_factor=1.0, node_count=1, uncertainty_w=0.0))
+    try:
+        return PowerComponent(*_fields(doc, where, label=str, p_base_w=float, duty_cycle=1.0,
+                                       env_factor=1.0, node_count=1, uncertainty_w=0.0))
+    except (FactorOutOfRangeError, NonPositivePowerError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _parse_control(doc, where: str) -> ControlSpec:
@@ -408,7 +408,7 @@ def evaluate(scenario: ScenarioSpec, register: Register,
             power=power, first_order=first_order, monte_carlo=monte_carlo,
             sei_value=sei_value, rrf_composed=sum(1 for c in strategy.controls if c.rrf > 0) > 1,
             spw_ratio=spw_ratio, power_saving=1.0 - power.total / base_power,
-            security_reduction=(base_sg - sg) / base_sg if base_sg else 0.0,
+            security_reduction=(base_sg - sg) / base_sg,
             sei_ratio=sei_value / base_sei if base_sei else float("nan"))
 
     # The baseline goes first, so its errors win over those of earlier-listed strategies.

@@ -48,6 +48,7 @@ from .errors import (
     NonPositivePowerError,
     WeightsNotNormalizedError,
     ZeroBaselineError,
+    check_range,
 )
 
 # float64 values (128 KB) drawn per sampler chunk: the chunk stays
@@ -69,16 +70,9 @@ class VulnContribution:
     rrf: float
 
     def __post_init__(self):
-        checks = (
-            ("cvss", self.cvss, 0.0, 10.0),
-            ("exploit_probability", self.exploit_probability, 0.0, 1.0),
-            ("mission_criticality", self.mission_criticality, 0.0, 1.0),
-            ("rrf", self.rrf, 0.0, 1.0),
-        )
-        for name, value, lo, hi in checks:
-            if not lo <= value <= hi:
-                raise FactorOutOfRangeError(
-                    f"{self.vuln_id}: {name}={value} outside [{lo}, {hi}]")
+        for name in ("cvss", "exploit_probability", "mission_criticality", "rrf"):
+            check_range(FactorOutOfRangeError, self.vuln_id, name, getattr(self, name),
+                        0.0, 10.0 if name == "cvss" else 1.0)
 
     @property
     def gain(self) -> float:
@@ -100,14 +94,11 @@ class PowerComponent:
     def __post_init__(self):
         if self.p_base <= 0:
             raise NonPositivePowerError(f"{self.label}: p_base must be > 0")
-        if not 0.0 <= self.duty_cycle <= 1.0:
-            raise FactorOutOfRangeError(f"{self.label}: duty_cycle outside [0, 1]")
+        check_range(FactorOutOfRangeError, self.label, "duty_cycle", self.duty_cycle, 0, 1)
         if self.environmental_factor <= 0:
             raise FactorOutOfRangeError(f"{self.label}: environmental_factor must be > 0")
-        if self.node_count < 1:
-            raise FactorOutOfRangeError(f"{self.label}: node_count must be >= 1")
-        if self.uncertainty < 0:
-            raise FactorOutOfRangeError(f"{self.label}: uncertainty must be >= 0")
+        check_range(FactorOutOfRangeError, self.label, "node_count", self.node_count, 1)
+        check_range(FactorOutOfRangeError, self.label, "uncertainty", self.uncertainty, 0)
         if not math.isfinite(self.total + 2 * self.uncertainty):  # the sampled interval and width
             raise FactorOutOfRangeError(f"{self.label}: total +/- uncertainty is not finite")
 
@@ -143,15 +134,12 @@ class SeiWeights:
     delta: float
 
     def __post_init__(self):
-        for name, w in zip("alpha beta gamma delta".split(), self.as_tuple()):
-            if not 0.0 <= w <= 1.0:
-                raise WeightsNotNormalizedError(f"weight {name}={w} outside [0, 1]")
-        if abs(sum(self.as_tuple()) - 1.0) > 1e-9:
-            raise WeightsNotNormalizedError(
-                f"weights sum to {sum(self.as_tuple())}, expected 1.0")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.alpha, self.beta, self.gamma, self.delta)
+        names = ("alpha", "beta", "gamma", "delta")
+        for name in names:
+            check_range(WeightsNotNormalizedError, "weights", name, getattr(self, name), 0, 1)
+        total = sum(getattr(self, name) for name in names)
+        if abs(total - 1.0) > 1e-9:
+            raise WeightsNotNormalizedError(f"weights sum to {total}, expected 1.0")
 
 
 @dataclass(frozen=True)
@@ -170,9 +158,7 @@ class SeiCriteria:
 
     def __post_init__(self):
         for name in ("latency_score", "storage_score", "complexity_score"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise FactorOutOfRangeError(f"{name}={value} outside [0, 1]")
+            check_range(FactorOutOfRangeError, "criteria", name, getattr(self, name), 0, 1)
 
 
 def security_gain(contributions: Sequence[VulnContribution]) -> float:
@@ -261,8 +247,8 @@ def spw(
 
     Raises ``FactorOutOfRangeError`` if ``sg < 0``, ``u < 0``, ``total + 2u``
     is not finite, or SpW or its sigma overflows (a near-zero total); and,
-    for Monte Carlo, unless ``n_samples`` and ``seed`` are integers >= 0.
-    Fewer than two samples give sigma 0.0.
+    for Monte Carlo, unless ``n_samples`` is an integer >= 1 and ``seed``
+    an integer >= 0. One sample gives sigma 0.0.
     """
     total, uncertainty = power
     if total <= 0:
@@ -276,9 +262,9 @@ def spw(
     if sigma_method is SigmaMethod.FIRST_ORDER:
         sigma = ratio * (uncertainty / total)
     else:
-        for name, value in (("n_samples", n_samples), ("seed", seed)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise FactorOutOfRangeError(f"{name} must be an integer >= 0, got {value!r}")
+        for name, value, lo in (("n_samples", n_samples, 1), ("seed", seed, 0)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+                raise FactorOutOfRangeError(f"{name} must be an integer >= {lo}, got {value!r}")
         if components:
             centres = np.array([c.total for c in components])
             widths = np.array([c.uncertainty for c in components])

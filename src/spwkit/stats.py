@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cvss import Severity, severity_for
+from .errors import check_range
 from .register import Register
 from .taxonomy import Subsystem
 
@@ -29,8 +30,7 @@ def quantile(values: list[float], q: float) -> float:
     """Linear-interpolation quantile of an unsorted sample."""
     if not values:
         raise ValueError("quantile of empty sample")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile fraction {q} outside [0, 1]")
+    check_range(ValueError, "quantile", "q", q, 0, 1)
     ordered = sorted(values)
     pos = q * (len(ordered) - 1)
     lower = int(pos)

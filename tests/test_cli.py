@@ -565,6 +565,18 @@ class TestMarkdownCells:
         assert "| C1 | Uplink \\| spoof<br>second line | Communications | 9.0 |" in out
         assert "| C2 | a<br>b<br>c |" in out
 
+    def test_register_title_holding_a_line_break_in_text(self, capsys, tmp_path):
+        path = tmp_path / "register.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(COLUMNS)
+            writer.writerow(["C2", "a\r\nb", "comms", "S", "", "", "9.0",
+                             "command_integrity", "", "", "", ""])
+        code, out, err = run(capsys, "classify", str(path), "--format", "text")
+        assert code == 0, err
+        # Title, its underline, the header, then one line for the one entry.
+        assert out.splitlines()[3:] == ["C2  a b    Communications  9.0    High"]
+
 
 class TestOneLineTitlesAndProse:
     """A line break in a title or in prose neither ends a heading nor starts a block."""
@@ -604,6 +616,28 @@ class TestOneLineTitlesAndProse:
         assert "## Layered controls\n\nEffective RRF composed as 1 - prod(1 - rrf) for: " \
                "ECC<br>## injected\n" in out
         assert "## injected" not in out.splitlines()
+
+    def test_text_table_cell_holding_a_line_break(self, capsys, tmp_path, scenario_doc):
+        scenario_doc["name"] = "S1 | first\nsecond"
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(scenario_doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path), "--format", "text")
+        assert code == 0, err
+        header, row = out.split("Summary\n-------\n")[1].splitlines()
+        assert header.startswith("Scenario           Key Controls")
+        assert row.startswith("S1 | first second  SC-8/ECC vs ")
+
+    def test_layered_strategy_name_in_text_prose(self, capsys, tmp_path, scenario_doc):
+        strategy = scenario_doc["strategies"][0]
+        strategy["name"] = "ECC\n## injected"
+        control = strategy["controls"][0]
+        strategy["controls"].append({**control, "id": "SC-13",
+                                     "power": [{**control["power"][0], "label": "second"}]})
+        path = tmp_path / "layered.json"
+        path.write_text(json.dumps(scenario_doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path), "--format", "text")
+        assert code == 0, err
+        assert "\nEffective RRF composed as 1 - prod(1 - rrf) for: ECC ## injected\n" in out
 
 
 class TestChecklist:

@@ -138,3 +138,17 @@ def test_probe_names_the_field(scenario_file, probe, message):
 def test_own_keys_before_nested_objects(scenario_file, replacements, message):
     code, out, err = _run(scenario_file, replacements)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# The value types name a fault by the component's label; the parser puts
+# the component's JSON path in front, keeping the error class.
+@pytest.mark.parametrize("key, value, message", [
+    ("node_count", 0, "keyex-and-aead: node_count must be >= 1, got 0"),
+    ("env_factor", 0, "keyex-and-aead: environmental_factor must be > 0"),
+    ("duty_cycle", 2, "keyex-and-aead: duty_cycle=2.0 outside [0, 1]"),
+    ("uncertainty_w", 1e308, "keyex-and-aead: total +/- uncertainty is not finite"),
+    ("p_base_w", 0, "keyex-and-aead: p_base must be > 0"),
+], ids=["node_count", "env_factor", "duty_cycle", "uncertainty_w", "p_base_w"])
+def test_power_component_fault_leads_with_its_path(scenario_file, key, value, message):
+    code, out, err = _run(scenario_file, [(POWER + (key,), value)])
+    assert (code, out, err) == (2, "", f"error: strategies[0].controls[0].power[0]: {message}\n")

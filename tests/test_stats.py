@@ -97,6 +97,12 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 
+    @pytest.mark.parametrize("q", [1.5, -0.5, float("nan")])
+    def test_quantile_names_a_rejected_fraction(self, q):
+        with pytest.raises(ValueError) as info:
+            quantile([1.0], q)
+        assert str(info.value) == f"quantile: q={q} outside [0, 1]"
+
 
 class TestOracleEquivalence:
     def test_exact_against_direct_computation(self):
