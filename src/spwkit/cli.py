@@ -7,12 +7,15 @@ also takes --seed and --paper-check; any other option is a usage error
 warning as one "warning: <Class>: <message>" line. Exit codes: 0 success,
 1 internal error, 2 input or validation error. The SPW_REGISTER
 environment variable supplies a default register path where one is not
-given on the command line.
+given on the command line. run(), the `spw` process, freezes the garbage
+collector once the command returns (in-process main() never does) and
+exits 2 if stdout is a closed pipe.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import warnings
@@ -163,5 +166,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """The ``spw`` process: exit with ``main()``'s code, skipping shutdown's
+    collections of objects the OS reclaims with the process anyway."""
+    code = main()
+    gc.freeze()
+    try:
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()
+    except OSError as exc:
+        # Shutdown flushes stdout again; let that land in /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code == EXIT_OK:
+            _diagnostic("error: ", exc)
+            code = EXIT_INPUT
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import gc
 import json
 import os
 import re
@@ -30,12 +31,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env(*unset):
+    """The environment of a fresh process that imports this spwkit."""
+    env = {k: v for k, v in os.environ.items() if k not in ("SPW_REGISTER", *unset)}
+    env["PYTHONPATH"] = str(Path(spwkit.__file__).parent.parent)
+    return env
+
+
 def run_python(*args):
     """Run Python as a fresh process that imports this spwkit; stdout and
     stderr come back as bytes."""
-    env = {k: v for k, v in os.environ.items() if k != "SPW_REGISTER"}
-    env["PYTHONPATH"] = str(Path(spwkit.__file__).parent.parent)
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=_child_env(),
+                          timeout=60)
 
 
 def run_process(*argv):
@@ -682,3 +689,89 @@ class TestOptions:
             main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# The two ways a process enters ``run()``: ``python -m`` and a console
+# script such as the installed ``spw``, whose wrapper is ``sys.exit(run())``.
+LAUNCHERS = {"module": ["-m", "spwkit.cli"],
+             "console-script": ["-c", "import sys; from spwkit.cli import run; sys.exit(run())"]}
+
+
+class TestRun:
+    """``run()``, the ``spw`` process: ``main()``'s exit code and output, a
+    frozen collector, and exit 2 when stdout is a closed pipe."""
+
+    GOLDEN = Path(__file__).parent / "data" / "golden"
+    PROBE = ("import gc, sys\n"
+             "from spwkit.cli import run\n"
+             "try:\n"
+             "    run()\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+
+    @pytest.fixture()
+    def dup_register(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        row = "A1,t,comms,S,,,5.0,availability,,,,"
+        path.write_text(f"{HEADER}\n{row}\n{row}\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS)
+    def test_exit_codes_are_mains(self, register_path, dup_register, launcher):
+        spw = [*LAUNCHERS[launcher], "validate"]
+        assert run_python(*spw, str(register_path)).returncode == 0
+        assert run_python(*spw, str(dup_register)).returncode == 2
+        proc = run_python(*spw, str(register_path), "--bogus")
+        assert proc.returncode == 2
+        assert b"unrecognized arguments: --bogus" in proc.stderr
+
+    @pytest.mark.parametrize("register, code", [("bundled", 0), ("dup", 2)])
+    def test_freezes_the_collector_and_exits_with_mains_code(
+            self, register_path, dup_register, register, code):
+        path = register_path if register == "bundled" else dup_register
+        proc = run_python("-c", self.PROBE, "validate", str(path))
+        assert proc.stderr.decode("utf-8").splitlines()[-1] == f"{code} True"
+
+    def test_main_in_process_never_freezes(self, capsys, register_path):
+        before = gc.get_freeze_count()
+        assert run(capsys, "validate", str(register_path))[0] == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS)
+    @pytest.mark.parametrize("golden, argv", [
+        ("classify_register_42.csv", ["classify", "register_42.csv", "--format", "csv"]),
+        ("stats_register_42.text", ["stats", "register_42.csv", "--format", "text"]),
+        ("scenario_s2_paper_check.md", ["scenario", "scenario_s2.json", "--paper-check"]),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_output_is_complete(self, register_path, golden, argv, launcher):
+        argv[1] = str(register_path.parent / argv[1])
+        proc = run_python(*LAUNCHERS[launcher], *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (self.GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["score", "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"],
+        ["stats", "register_42.csv"],
+    ], ids=["score", "stats"])
+    def test_closed_pipe_is_exit_2_with_one_error_line(self, register_path, argv, unbuffered):
+        argv = [register_path.parent / a if a.endswith(".csv") else a for a in argv]
+        env = _child_env("PYTHONUNBUFFERED")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "spwkit.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+
+    def test_closed_stdout_fd_is_not_an_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spwkit.cli", "score", "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_child_env(),
+            preexec_fn=lambda: os.close(1), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
