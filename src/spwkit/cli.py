@@ -7,9 +7,10 @@ also takes --seed and --paper-check; any other option is a usage error
 warning as one "warning: <Class>: <message>" line. Exit codes: 0 success,
 1 internal error, 2 input or validation error. The SPW_REGISTER
 environment variable supplies a default register path where one is not
-given on the command line. run(), the `spw` process, freezes the garbage
-collector once the command returns (in-process main() never does) and
-exits 2 if stdout is a closed pipe.
+given on the command line. Only `scenario` imports spwkit.scenario, on
+its first call to load_scenario() or evaluate() here. run(), the `spw`
+process, freezes the garbage collector once the command returns
+(in-process main() never does) and exits 2 if stdout is a closed pipe.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .report import (
     scenario_report,
     stats_report,
 )
-from .scenario import evaluate, load_scenario
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -105,8 +105,18 @@ def _emit(doc: ReportDocument, args) -> None:
     rendered = doc.render(args.format)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
-    else:
+    elif sys.stdout is not None:  # None when fd 1 was closed at start-up
         sys.stdout.write(rendered)
+
+
+def load_scenario(path):
+    from .scenario import load_scenario
+    return load_scenario(path)
+
+
+def evaluate(scenario, register, seed=None):
+    from .scenario import evaluate
+    return evaluate(scenario, register, seed=seed)
 
 
 def cmd_validate(args) -> int:

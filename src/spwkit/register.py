@@ -24,7 +24,6 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from itertools import chain, dropwhile
 from pathlib import Path
 
@@ -274,6 +273,7 @@ def load_register(path: str | Path) -> Register:
 
 def load_bundled_register() -> Register:
     """Load the register shipped with the package."""
+    from importlib import resources
     with resources.as_file(resources.files("spwkit") / "data" / BUNDLED_REGISTER) as path:
         return load_register(path)
 

@@ -15,17 +15,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import TYPE_CHECKING
 
 from .errors import SpwkitError
 from .register import Register
 from .spw import SPW_DISPLAY_DECIMALS
-from .stats import severity_distribution, summarize
 from .taxonomy import RiskTier, classify_tier
 
 if TYPE_CHECKING:
@@ -136,6 +133,7 @@ def fmt_pct(fraction: float, decimals: int = 0) -> str:
 
 def stats_report(register: Register) -> ReportDocument:
     """Severity summary table plus the whole-register band distribution."""
+    from .stats import severity_distribution, summarize
     return ReportDocument((
         Section("Severity summary by subsystem", ("Subsystem", "n", "Mean", "Median", "IQR"),
                 tuple((s.subsystem.display_name, str(s.n), fmt(s.mean, 1), fmt(s.median, 1),
@@ -227,6 +225,8 @@ def scenario_report(report: ComparisonReport, paper_check: bool = False) -> Repo
 @lru_cache(maxsize=1)
 def _reference_figures() -> dict:
     """The bundled published figures, keyed by scenario name."""
+    import json
+    from importlib import resources
     text = (resources.files("spwkit") / "data" / "reference_figures.json").read_text(
         encoding="utf-8")
     return json.loads(text)

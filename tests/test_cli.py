@@ -769,9 +769,15 @@ class TestRun:
         assert proc.returncode == 2
         assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
 
-    def test_closed_stdout_fd_is_not_an_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "spwkit.cli", "score", "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N"],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_child_env(),
-            preexec_fn=lambda: os.close(1), timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, b"")
+    def test_closed_stdout_fd_is_not_an_error(self, register_path):
+        # With fd 1 closed at start-up sys.stdout is None: the report is
+        # dropped, as print() drops score's line, and stderr is unchanged.
+        data = register_path.parent
+        for argv in (["score", "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N"],
+                     ["classify", str(register_path)], ["stats", str(register_path)],
+                     ["scenario", str(data / "scenario_s2.json")], ["checklist"]):
+            procs = [subprocess.run([sys.executable, "-m", "spwkit.cli", *argv],
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                    env=_child_env(), preexec_fn=close, timeout=60)
+                     for close in (None, lambda: os.close(1))]
+            assert [(p.returncode, p.stderr) for p in procs] == [(0, procs[0].stderr)] * 2, argv
