@@ -105,8 +105,8 @@ def _emit(doc: ReportDocument, args) -> None:
     rendered = doc.render(args.format)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
-    elif sys.stdout is not None:  # None when fd 1 was closed at start-up
-        sys.stdout.write(rendered)
+    else:
+        print(rendered, end="")  # no-op when fd 1 was closed at start-up
 
 
 def load_scenario(path):

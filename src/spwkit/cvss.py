@@ -8,7 +8,7 @@ as Physical) affects how registers assign values, not the arithmetic here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 
@@ -70,14 +70,9 @@ class CvssVector:
     integrity: str
     availability: str
 
-    def metrics(self) -> dict[str, str]:
-        return dict(zip(METRIC_ORDER, (
-            self.attack_vector, self.attack_complexity, self.privileges_required,
-            self.user_interaction, self.scope, self.confidentiality,
-            self.integrity, self.availability)))
-
     def to_string(self) -> str:
-        return PREFIX + "/" + "/".join(f"{k}:{v}" for k, v in self.metrics().items())
+        return PREFIX + "".join(f"/{m}:{getattr(self, f.name)}"
+                                for m, f in zip(METRIC_ORDER, fields(self)))
 
 
 @dataclass(frozen=True)

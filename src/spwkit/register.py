@@ -5,10 +5,10 @@ Register files are UTF-8 CSV (RFC 4180 quoting) with this exact header::
     id,title,subsystem,stride,attack_techniques,cvss_vector,cvss_score,
     mission_functions,description,preconditions,impact,mitigations
 
-A leading byte order mark is skipped, and lines starting with ``#`` before
-the header are comments. Quoted cells may hold any line break; saved
-registers end rows with CRLF. Files are read line by line: loading needs
-memory for the entries, not the text. Multi-valued cells (stride,
+A leading byte order mark and blank lines are skipped, and lines starting
+with ``#`` before the header are comments. Quoted cells may hold any line
+break; saved registers end rows with CRLF. Files are read line by line:
+loading needs memory for the entries, not the text. Multi-valued cells (stride,
 attack_techniques, mission_functions) join tokens with ``;``; subsystem,
 stride and mission tokens are trimmed and matched in any case. A row may
 carry a vector, a declared score, or both; a vector alone gives the row
@@ -225,7 +225,8 @@ def loads(text: str | Iterable[str], source: str = "<string>") -> Register:
     lines = iter(io.StringIO(text, newline="") if isinstance(text, str) else text)
     first = next(lines, "").removeprefix("\ufeff")  # a leading byte order mark is skipped
     lines = chain([first] if first else [], lines)
-    records = _records(dropwhile(lambda line: line.startswith("#"), lines))
+    records = _records(dropwhile(
+        lambda line: line.startswith("#") or line in ("\n", "\r\n", "\r"), lines))
     try:
         _, header = next(records)
     except StopIteration:
@@ -263,12 +264,13 @@ def load_register(path: str | Path) -> Register:
             return loads(fh, source=str(path))
         except OSError as exc:
             raise RegisterError(f"cannot read register file {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:  # exc counts from the block being decoded
-            at, end = (fh.buffer.tell() - len(exc.object) + i for i in (exc.start, exc.end))
-            bad = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if end == at + 1
-                   else f"bytes in position {at}-{end - 1}")
-            raise RegisterError(f"cannot read register file {path}: '{exc.encoding}' codec "
-                                f"can't decode {bad}: {exc.reason}") from exc
+        except UnicodeDecodeError as exc:  # its position counts from the block being decoded
+            try:  # so decode the open file whole (not reopened: a FIFO would block)
+                fh.buffer.seek(0)
+                fh.buffer.read().decode("utf-8")
+            except UnicodeDecodeError as whole:  # its position counts from the file's start
+                exc = whole
+            raise RegisterError(f"cannot read register file {path}: {exc}") from exc
 
 
 def load_bundled_register() -> Register:

@@ -53,7 +53,7 @@ import math
 import sys
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +129,11 @@ class StrategySpec:
         return tuple(c for control in self.controls for c in control.power_components)
 
 
+def _named(records, name: str):
+    """The record in ``records`` called ``name``; ``KeyError`` if none is."""
+    return {r.name: r for r in records}[name]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
@@ -138,7 +143,6 @@ class ScenarioSpec:
     sei_weights: SeiWeights
     monte_carlo_n: int = DEFAULT_MONTE_CARLO_N
     seed: int = 0
-    _by_name: dict[str, StrategySpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key in ("monte_carlo_n", "seed"):
@@ -150,18 +154,16 @@ class ScenarioSpec:
         check_range(SchemaViolationError, "scenario", "seed", self.seed, 0)
         if len(self.strategies) < 2:
             raise SchemaViolationError("scenario needs at least two strategies")
-        by_name = {s.name: s for s in self.strategies}
-        if len(by_name) < len(self.strategies):
-            names = [s.name for s in self.strategies]
-            duplicate = min(n for n in by_name if names.count(n) > 1)
+        names = [s.name for s in self.strategies]
+        if len(set(names)) < len(names):
+            duplicate = min(n for n in names if names.count(n) > 1)
             raise DuplicateStrategyNameError(f"strategy name '{duplicate}' appears twice")
-        if self.baseline_strategy not in by_name:
+        if self.baseline_strategy not in names:
             raise UnknownBaselineError(f"baseline '{self.baseline_strategy}' is not a "
-                                       f"strategy (have: {', '.join(by_name)})")
-        object.__setattr__(self, "_by_name", by_name)
+                                       f"strategy (have: {', '.join(names)})")
 
     def strategy(self, name: str) -> StrategySpec:
-        return self._by_name[name]
+        return _named(self.strategies, name)
 
 
 @dataclass(frozen=True)
@@ -198,10 +200,7 @@ class ComparisonReport:
     targets: tuple[VulnerabilityEntry, ...]  # every targeted entry, first-seen order
 
     def outcome(self, name: str) -> StrategyOutcome:
-        for o in self.outcomes:
-            if o.name == name:
-                return o
-        raise KeyError(name)
+        return _named(self.outcomes, name)
 
     # The acceptance suite and the README read the baseline comparison under this name.
     comparison = outcome

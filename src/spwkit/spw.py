@@ -98,6 +98,9 @@ class PowerComponent:
         if self.environmental_factor <= 0:
             raise FactorOutOfRangeError(f"{self.label}: environmental_factor must be > 0")
         check_range(FactorOutOfRangeError, self.label, "node_count", self.node_count, 1)
+        if isinstance(self.node_count, bool) or not isinstance(self.node_count, numbers.Integral):
+            raise FactorOutOfRangeError(
+                f"{self.label}: node_count must be an integer, got {self.node_count}")
         check_range(FactorOutOfRangeError, self.label, "uncertainty", self.uncertainty, 0)
         if not math.isfinite(self.total + 2 * self.uncertainty):  # the sampled interval and width
             raise FactorOutOfRangeError(f"{self.label}: total +/- uncertainty is not finite")
@@ -242,8 +245,8 @@ def spw(
     ``spw * (u / total)``, a worst-case half-width. Monte Carlo draws each
     power component total uniformly from ``[total - u, total + u]``
     (independently, seeded) and reports the sample standard deviation of
-    ``sg / power``; when no component list is given the aggregate estimate
-    is treated as a single component.
+    ``sg / power``; when no component list is given the bare interval is
+    sampled as one component.
 
     Raises ``FactorOutOfRangeError`` if ``sg < 0``, ``u < 0``, ``total + 2u``
     is not finite, or SpW or its sigma overflows (a near-zero total); and,
@@ -265,13 +268,9 @@ def spw(
         for name, value, lo in (("n_samples", n_samples, 1), ("seed", seed, 0)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
                 raise FactorOutOfRangeError(f"{name} must be an integer >= {lo}, got {value!r}")
-        if components:
-            centres = np.array([c.total for c in components])
-            widths = np.array([c.uncertainty for c in components])
-        else:
-            centres = np.array([total])
-            widths = np.array([uncertainty])
-        samples = _power_samples(centres, widths, n_samples, seed)
+        components = components or (PowerComponent("power", total, uncertainty=uncertainty),)
+        samples = _power_samples(np.array([c.total for c in components]),
+                                 np.array([c.uncertainty for c in components]), n_samples, seed)
         if np.any(samples <= 0):
             raise NonPositivePowerError(
                 "power uncertainty admits non-positive totals; narrow the intervals")

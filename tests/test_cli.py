@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,25 @@ class TestValidate:
         assert out == ""
         assert "late.csv" in err and shown in err
         assert "internal error" not in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_undecodable_fifo_does_not_block(self, tmp_path, register_path):
+        # Once its writer has left, reopening the FIFO to decode it whole
+        # would wait for another writer forever.
+        fifo = tmp_path / "register.fifo"
+        os.mkfifo(fifo)
+        data = register_path.read_bytes()[:10_000] + b"\xff"
+        # A daemon thread: its open() waits for a reader the child may never start.
+        threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True).start()
+        with subprocess.Popen([sys.executable, "-m", "spwkit.cli", "validate", str(fifo)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=_child_env()) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert (proc.returncode, out, err.count(b"\n")) == (2, b"", 1)
+        assert err.startswith(b"error: ")
 
     def test_over_long_cell(self, capsys, tmp_path):
         bad = tmp_path / "long.csv"

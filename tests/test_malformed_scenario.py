@@ -83,6 +83,7 @@ PROBES = {
     "node_count": [(POWER + ("node_count",), 0)],
     "register": [(("register",), "a\0b")],
     "adapted_from": [(POWER[:4] + ("adapted_from",), 8)],
+    "controls": [(("strategies", 0, "controls"), [])],
 }
 
 
@@ -100,6 +101,7 @@ PROBES = {
 @example(PROBES["env_factor"])
 @example(PROBES["node_count"])
 @example(PROBES["register"])
+@example(PROBES["controls"])
 def test_mutated_scenario_exits_0_or_2(scenario_file, replacements):
     code, _, err = _run(scenario_file, replacements)
     assert code in (0, 2), err
@@ -118,6 +120,7 @@ def test_mutated_scenario_exits_0_or_2(scenario_file, replacements):
     ("node_count", "keyex-and-aead: node_count must be >= 1"),
     ("register", "embedded null byte"),
     ("adapted_from", "strategies[0].controls[0]: 'adapted_from' must be str"),
+    ("controls", "strategies[0]: needs at least one control"),
 ])
 def test_probe_names_the_field(scenario_file, probe, message):
     code, out, err = _run(scenario_file, PROBES[probe])

@@ -123,6 +123,40 @@ class TestLoading:
             with pytest.raises(MissingColumnError, match="no header row"):
                 read()
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_blank_lines_skipped_by_both_readers(self, tmp_path, end):
+        """Before the header (after a comment), between entries and after the last."""
+        a1, b2 = (",".join(row(id=i)) for i in ("A1", "B2"))
+        text = end.join(["# note", "", "", HEADER, "", a1, "", "", b2, "", ""]) + end
+        path = tmp_path / "register.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        reg = loads(text)
+        assert load_register(path) == reg == loads(make_csv(row(id="A1"), row(id="B2")))
+        assert loads(serialize(reg)) == reg
+
+    def test_blank_lines_before_the_bundled_header(self, tmp_path, register, register_path):
+        path = tmp_path / "register.csv"
+        path.write_bytes(b"# note\n\n" + register_path.read_bytes())
+        assert load_register(path) == register
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_header_is_row_1_after_blank_lines(self, end):
+        text = end.join(["", HEADER, ",".join(row(id="11"))]) + end
+        with pytest.raises(BadFieldError, match="^row 2: id '11'"):
+            loads(text)
+
+    def test_whitespace_line_before_the_header_is_not_blank(self):
+        with pytest.raises(MissingColumnError, match="header does not match"):
+            loads(" \n" + make_csv(row()))
+
+    @pytest.mark.parametrize("text", ["\n", "\r\n\r\n", "\r", "# one\n\n"])
+    def test_only_blank_lines_have_no_header_row(self, tmp_path, text):
+        path = tmp_path / "register.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        for read in (lambda: loads(text), lambda: load_register(path)):
+            with pytest.raises(MissingColumnError, match="^register file has no header row$"):
+                read()
+
     def test_memory_follows_the_entries(self, tmp_path):
         """The file is streamed: the heap peak while loading stays near what
         the loaded register keeps, however long the file's text is."""

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spwkit.errors import (
     EmptyPowerModelError,
@@ -365,6 +365,27 @@ class TestMonteCarloSampler:
             centres - widths, centres + widths, size=(n, len(centres))).sum(axis=1)
         assert _power_samples(centres, widths, n, seed).tobytes() == reference.tobytes()
 
+    # One sampler: a bare interval is drawn exactly as a one-component model.
+    @settings(derandomize=True, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e6),
+           st.floats(min_value=5e-324, max_value=1e300),
+           st.floats(min_value=0.0, max_value=1e300),
+           st.integers(min_value=1, max_value=3 * MONTE_CARLO_CHUNK),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    @example(6.48, 0.18, 0.02, 1, 0)
+    @example(6.48, 0.1, 0.5, 100, 0)  # the interval admits non-positive totals
+    def test_a_bare_interval_is_one_component(self, sg, total, uncertainty, n, seed):
+        assume(math.isfinite(total + 2 * uncertainty))
+
+        def outcome(**kwargs):
+            try:
+                return spw(sg, (total, uncertainty), MC, n_samples=n, seed=seed, **kwargs)
+            except SpwkitError as exc:
+                return type(exc), str(exc)
+
+        component = PowerComponent("c", total, uncertainty=uncertainty)
+        assert outcome() == outcome(components=[component])
+
     @pytest.mark.parametrize("n", [1])
     def test_fewer_than_two_samples_give_zero_sigma(self, n):
         assert spw(6.48, PowerEstimate(0.18, 0.02), MC, n_samples=n).spw_sigma == 0.0
@@ -530,6 +551,12 @@ class TestValueTypesCheckThemselves:
          "x: node_count must be >= 1, got 0"),
         (lambda: PowerComponent("x", 1.0, node_count=math.nan), FactorOutOfRangeError,
          "x: node_count must be >= 1, got nan"),
+        (lambda: PowerComponent("x", 1.0, node_count=2.5), FactorOutOfRangeError,
+         "x: node_count must be an integer, got 2.5"),
+        (lambda: PowerComponent("x", 1.0, node_count=True), FactorOutOfRangeError,
+         "x: node_count must be an integer, got True"),
+        (lambda: PowerComponent("x", 1.0, node_count=2.0), FactorOutOfRangeError,
+         "x: node_count must be an integer, got 2.0"),
         (lambda: PowerComponent("x", 1.0, uncertainty=-0.1), FactorOutOfRangeError,
          "x: uncertainty must be >= 0, got -0.1"),
         (lambda: PowerComponent("x", 1.0, uncertainty=math.nan), FactorOutOfRangeError,
@@ -548,13 +575,18 @@ class TestValueTypesCheckThemselves:
          "V1: mission_criticality=nan outside [0.0, 1.0]"),
         (lambda: spw(6.48, PowerEstimate(0.18, 0.02), SigmaMethod.MONTE_CARLO, n_samples=0),
          FactorOutOfRangeError, "n_samples must be an integer >= 1, got 0"),
-    ], ids=["duty_cycle", "duty_cycle-nan", "node_count", "node_count-nan", "uncertainty",
+    ], ids=["duty_cycle", "duty_cycle-nan", "node_count", "node_count-nan",
+            "node_count-fraction", "node_count-bool", "node_count-float", "uncertainty",
             "uncertainty-nan", "weights", "weights-nan", "criteria", "criteria-nan", "cvss",
             "contribution-nan", "n_samples"])
     def test_a_rejected_value_is_named(self, build, error, message):
         with pytest.raises(error) as info:
             build()
         assert str(info.value) == message
+
+    def test_node_count_takes_numpy_integers(self):
+        assert PowerComponent("x", 1.5, node_count=np.int64(3)).total == 4.5
+        assert PowerComponent("x", 1.5, node_count=np.uint8(2)).total == 3.0
 
 
 class TestNormalisation:
