@@ -270,6 +270,8 @@ def load_register(path: str | Path) -> Register:
                 fh.buffer.read().decode("utf-8")
             except UnicodeDecodeError as whole:  # its position counts from the file's start
                 exc = whole
+            except OSError:  # a pipe cannot seek: the streamed error stands
+                pass
             raise RegisterError(f"cannot read register file {path}: {exc}") from exc
 
 

@@ -23,9 +23,12 @@ values.
 The value types check their ranges when built, so the functions taking
 them need not; ``spw`` checks the bare ``(total, uncertainty)`` it is given.
 
-The Monte Carlo sampler fills its ``n`` power totals chunk by chunk, so
-memory is O(n) rather than O(n * k) for ``k`` components, and its draws are
-bit-identical to one ``Generator.uniform`` call over the ``(n, k)`` matrix.
+The Monte Carlo sampler fills its ``n`` power totals chunk by chunk, in
+one block of rows per CPU (at most ``MONTE_CARLO_WORKERS``), each block's
+generator advanced to its first draw. Memory is one n-length array plus one
+chunk per worker, O(n) rather than O(n * k) for ``k`` components, and the
+draws are bit-identical to one ``Generator.uniform`` call over the ``(n, k)``
+matrix whatever the CPU count.
 The ratios are then divided into that array and their SD taken in place,
 bit-identical to ``np.std(ddof=1)`` wherever that cannot overflow: one
 n-length array in all.
@@ -35,7 +38,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -54,6 +59,9 @@ from .errors import (
 # float64 values (128 KB) drawn per sampler chunk: the chunk stays
 # cache-sized next to the n-length samples array.
 MONTE_CARLO_CHUNK = 1 << 14
+# At most this many sampler blocks run at once. Each holds its own chunk and
+# a 64 KB ufunc buffer, about 196 KB in all: two stay within 512 KB.
+MONTE_CARLO_WORKERS = 2
 
 DEFAULT_MONTE_CARLO_N = 10_000
 SPW_DISPLAY_DECIMALS = 2  # SpW as reports print it, and as the index takes it
@@ -183,6 +191,27 @@ def operational_power(components: Sequence[PowerComponent]) -> PowerEstimate:
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_block(out: np.ndarray, first: int, u: np.ndarray, low: np.ndarray,
+                span: np.ndarray, seed: int) -> None:
+    """Sample rows ``first:first + len(out)`` into ``out``, ``len(u)`` rows
+    at a time through ``u``, from a generator advanced past the ``first *
+    k`` draws of the rows before them."""
+    rng = np.random.Generator(np.random.PCG64(seed).advance(first * len(low)))
+    for at in range(0, len(out), len(u)):
+        chunk = u[:len(out) - at]
+        rng.random(out=chunk)
+        chunk *= span
+        chunk += low
+        chunk.sum(axis=1, out=out[at:at + len(chunk)])
+
+
 def _power_samples(centres: np.ndarray, widths: np.ndarray, n: int,
                    seed: int) -> np.ndarray:
     """``n`` draws of the summed power, component ``j`` uniform on
@@ -190,21 +219,39 @@ def _power_samples(centres: np.ndarray, widths: np.ndarray, n: int,
 
     Bit for bit ``default_rng(seed).uniform(centres - widths, centres +
     widths, size=(n, k)).sum(axis=1)``: ``uniform`` computes ``low + (high
-    - low) * next_double`` in C order, and so does this, at most
-    ``MONTE_CARLO_CHUNK`` values at a time.
+    - low) * next_double`` in C order, one 64-bit draw per value, and so
+    does this, at most ``MONTE_CARLO_CHUNK`` values at a time. The rows are
+    split into one block of whole chunks per worker (the smallest of the
+    CPUs, the chunks and ``MONTE_CARLO_WORKERS``); each block's generator
+    is advanced to the block's first draw, so the values do not depend on
+    the worker count. The calling thread fills the first block and a thread
+    each the others, each through its own chunk buffer.
     """
-    rng = np.random.default_rng(seed)
     low = centres - widths
     span = (centres + widths) - low
     samples = np.empty(n)
     rows = max(1, MONTE_CARLO_CHUNK // len(low))
-    u = np.empty((min(n, rows), len(low)))
-    for start in range(0, n, rows):
-        chunk = u[:min(rows, n - start)]
-        rng.random(out=chunk)
-        chunk *= span
-        chunk += low
-        chunk.sum(axis=1, out=samples[start:start + len(chunk)])
+    chunks = -(-n // rows)
+    block = -(-chunks // min(_cpu_count(), chunks, MONTE_CARLO_WORKERS)) * rows
+    # Buffers made here, not in the workers: a lower peak RSS.
+    blocks = [(samples[start:start + block], start, np.empty((min(rows, n - start), len(low))))
+              for start in range(0, n, block)]
+    errors = []
+
+    def fill(out, first, u):
+        try:
+            _fill_block(out, first, u, low, span, seed)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fill, args=args) for args in blocks[1:]]
+    for thread in threads:
+        thread.start()
+    fill(*blocks[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return samples
 
 

@@ -125,6 +125,15 @@ class TestValidate:
         assert (proc.returncode, out, err.count(b"\n")) == (2, b"", 1)
         assert err.startswith(b"error: ")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_undecodable_stdin_pipe(self):
+        proc = subprocess.run([sys.executable, "-m", "spwkit.cli", "validate", "/dev/stdin"],
+                              input=b"id,title\n\xff\xfe bad\n", capture_output=True,
+                              env=_child_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr.count(b"\n")) == (2, b"", 1)
+        assert proc.stderr.startswith(b"error: cannot read register file /dev/stdin: "
+                                      b"'utf-8' codec can't decode byte 0xff in position ")
+
     def test_over_long_cell(self, capsys, tmp_path):
         bad = tmp_path / "long.csv"
         row = "A1,t,comms,S,,,5.0,availability," + "x" * 200_000 + ",,,"

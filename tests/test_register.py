@@ -5,7 +5,9 @@ import copy
 import csv
 import dataclasses
 import io
+import os
 import pickle
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -311,6 +313,34 @@ class TestLoading:
         path.write_bytes(data[:at] + b"\xff" + data[at:])
         with pytest.raises(RegisterError, match=f"byte 0xff in position {at}:"):
             load_register(path)
+
+    @pytest.mark.parametrize("source", ["pipe", "fifo"])
+    def test_undecodable_pipe_is_a_register_error(self, tmp_path, register_path, source):
+        # A pipe cannot seek back to decode the file whole: the streamed error stands.
+        data = register_path.read_bytes()[:10_000] + b"\xff"
+        if source == "pipe":
+            if not Path("/dev/fd").is_dir():
+                pytest.skip("needs /dev/fd")
+            read, write = os.pipe()
+            os.write(write, data)  # within the pipe's buffer
+            os.close(write)
+            path = Path(f"/dev/fd/{read}")
+        else:
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("needs named pipes")
+            path = tmp_path / "register.fifo"
+            os.mkfifo(path)
+            # A daemon thread: its open() waits for the reader.
+            threading.Thread(target=path.write_bytes, args=(data,), daemon=True).start()
+        try:
+            with pytest.raises(RegisterError, match=(
+                    f"^cannot read register file {path}: "
+                    "'utf-8' codec can't decode byte 0xff in position ")) as raised:
+                load_register(path)
+        finally:
+            if source == "pipe":
+                os.close(read)
+        assert isinstance(raised.value.__cause__, UnicodeDecodeError)
 
     def test_multivalued_cells(self):
         reg = loads(make_csv(row(stride="S;T;E", missions="availability;other")))

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -35,6 +36,8 @@ from spwkit.spw import (
 from spwkit.spw import _power_samples, _sample_sd
 
 from .sigma_oracle import sigma_two_uniforms, sigma_uniforms
+
+SPW_MODULE = sys.modules[_power_samples.__module__]
 
 
 def contribution(cvss, p, m, rrf, vuln_id="V1"):
@@ -356,6 +359,22 @@ def sampler_inputs(draw):
     return np.array(centres), np.array(widths), n
 
 
+@st.composite
+def split_inputs(draw):
+    """Components, and an n from 1 to 7 chunks, often next to a chunk
+    boundary: every block boundary is one."""
+    k = draw(st.integers(min_value=1, max_value=64))
+    centres = draw(st.lists(st.floats(min_value=0.01, max_value=1000.0),
+                            min_size=k, max_size=k))
+    widths = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=k, max_size=k))
+    rows = MONTE_CARLO_CHUNK // k
+    n = draw(st.one_of(
+        st.builds(lambda chunks, offset: max(1, chunks * rows + offset),
+                  st.integers(min_value=0, max_value=7), st.sampled_from([-1, 0, 1])),
+        st.integers(min_value=1, max_value=7 * rows + 1)))
+    return np.array(centres), np.array(widths), n
+
+
 class TestMonteCarloSampler:
     @settings(max_examples=60, deadline=None)
     @given(sampler_inputs(), st.integers(min_value=0, max_value=2**64 - 1))
@@ -437,6 +456,53 @@ class TestMonteCarloSampler:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n + 512 * 1024  # the float64 samples plus a fixed working set
+
+    # The draws do not depend on how many workers split the rows, even with
+    # more workers than cores switching threads as often as they can.
+    @settings(derandomize=True, deadline=None)
+    @given(split_inputs(), st.integers(min_value=0, max_value=2**64 - 1))
+    def test_split_draws_equal_one_uniform_call(self, inputs, seed):
+        centres, widths, n = inputs
+        reference = np.random.default_rng(seed).uniform(
+            centres - widths, centres + widths, size=(n, len(centres))).sum(axis=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 5):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(SPW_MODULE, "_cpu_count", lambda: cpus)
+                    patch.setattr(SPW_MODULE, "MONTE_CARLO_WORKERS", cpus)
+                    samples = _power_samples(centres, widths, n, seed)
+                assert samples.tobytes() == reference.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("worker", [False, True], ids=["calling-thread", "worker"])
+    def test_a_failing_block_is_raised_after_every_thread_ends(self, monkeypatch, worker):
+        class BlockFailed(Exception):
+            pass
+
+        failure = BlockFailed()
+        fill = SPW_MODULE._fill_block
+
+        def fill_or_fail(out, first, *args):
+            if (first > 0) is worker:
+                raise failure
+            fill(out, first, *args)
+
+        monkeypatch.setattr(SPW_MODULE, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(SPW_MODULE, "_fill_block", fill_or_fail)
+        components = [PowerComponent(f"c{i}", 1.0, uncertainty=0.1) for i in range(8)]
+        threads = threading.active_count()
+        with pytest.raises(BlockFailed) as raised:
+            spw(10.0, operational_power(components), MC, components=components,
+                n_samples=4 * MONTE_CARLO_CHUNK // len(components), seed=1)
+        assert raised.value is failure
+        assert threading.active_count() == threads
+
+    def test_many_cpus_keep_a_fixed_working_set(self, monkeypatch):
+        monkeypatch.setattr(SPW_MODULE, "_cpu_count", lambda: 64)
+        self.test_warm_call_holds_one_n_length_array()
 
 
 @st.composite
