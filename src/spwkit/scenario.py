@@ -349,13 +349,18 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
-    except OSError as exc:
+        fh = path.open(encoding="utf-8-sig")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise SchemaViolationError(f"cannot read scenario file {path}: {exc}") from exc
-    except SchemaViolationError as exc:
-        raise SchemaViolationError(f"{path}: {exc}") from None
-    except ValueError as exc:  # undecodable bytes, bad JSON, over-long int literals
-        raise SchemaViolationError(f"{path} is not valid JSON: {exc}") from exc
+    with fh:
+        try:
+            doc = json.loads(fh.read(), object_pairs_hook=_unique_keys)
+        except OSError as exc:
+            raise SchemaViolationError(f"cannot read scenario file {path}: {exc}") from exc
+        except SchemaViolationError as exc:
+            raise SchemaViolationError(f"{path}: {exc}") from None
+        except ValueError as exc:  # undecodable bytes, bad JSON, over-long int literals
+            raise SchemaViolationError(f"{path} is not valid JSON: {exc}") from exc
     scenario = parse_scenario(doc, base_dir=path.parent)
     check_targets_resolve(scenario, load_register(scenario.register_path))
     return scenario

@@ -23,13 +23,9 @@ values.
 The value types check their ranges when built, so the functions taking
 them need not; ``spw`` checks the bare ``(total, uncertainty)`` it is given.
 
-The Monte Carlo sampler fills its ``n`` power totals chunk by chunk, in
-one block of rows per CPU (at most ``MONTE_CARLO_WORKERS``), each block's
-generator advanced to its first draw. Memory is one n-length array plus one
-chunk per worker, O(n) rather than O(n * k) for ``k`` components, and the
-draws are bit-identical to one ``Generator.uniform`` call over the ``(n, k)``
-matrix whatever the CPU count.
-The ratios are then divided into that array and their SD taken in place,
+The Monte Carlo sampler (``_power_samples``) fills one n-length array of
+power totals, O(n) rather than O(n * k) for ``k`` components. The ratios
+are then divided into that array and their SD taken in place,
 bit-identical to ``np.std(ddof=1)`` wherever that cannot overflow: one
 n-length array in all.
 """
@@ -38,7 +34,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -59,8 +54,8 @@ from .errors import (
 # float64 values (128 KB) drawn per sampler chunk: the chunk stays
 # cache-sized next to the n-length samples array.
 MONTE_CARLO_CHUNK = 1 << 14
-# At most this many sampler blocks run at once. Each holds its own chunk and
-# a 64 KB ufunc buffer, about 196 KB in all: two stay within 512 KB.
+# Sampler blocks per call, each holding its own chunk and a 64 KB ufunc
+# buffer, about 196 KB: two stay within 512 KB.
 MONTE_CARLO_WORKERS = 2
 
 DEFAULT_MONTE_CARLO_N = 10_000
@@ -191,13 +186,6 @@ def operational_power(components: Sequence[PowerComponent]) -> PowerEstimate:
     )
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _fill_block(out: np.ndarray, first: int, u: np.ndarray, low: np.ndarray,
                 span: np.ndarray, seed: int) -> None:
     """Sample rows ``first:first + len(out)`` into ``out``, ``len(u)`` rows
@@ -220,19 +208,19 @@ def _power_samples(centres: np.ndarray, widths: np.ndarray, n: int,
     Bit for bit ``default_rng(seed).uniform(centres - widths, centres +
     widths, size=(n, k)).sum(axis=1)``: ``uniform`` computes ``low + (high
     - low) * next_double`` in C order, one 64-bit draw per value, and so
-    does this, at most ``MONTE_CARLO_CHUNK`` values at a time. The rows are
-    split into one block of whole chunks per worker (the smallest of the
-    CPUs, the chunks and ``MONTE_CARLO_WORKERS``); each block's generator
-    is advanced to the block's first draw, so the values do not depend on
-    the worker count. The calling thread fills the first block and a thread
-    each the others, each through its own chunk buffer.
+    does this, at most ``MONTE_CARLO_CHUNK`` values at a time. On every
+    machine the rows split into ``min(chunks, MONTE_CARLO_WORKERS)`` blocks
+    of whole chunks, each block's generator advanced to its first draw, so
+    the values do not depend on the block count. The calling thread fills
+    the first block and a thread each the others, each through its own
+    chunk buffer: memory is the n-length result plus one chunk per block.
     """
     low = centres - widths
     span = (centres + widths) - low
     samples = np.empty(n)
     rows = max(1, MONTE_CARLO_CHUNK // len(low))
     chunks = -(-n // rows)
-    block = -(-chunks // min(_cpu_count(), chunks, MONTE_CARLO_WORKERS)) * rows
+    block = -(-chunks // min(chunks, MONTE_CARLO_WORKERS)) * rows
     # Buffers made here, not in the workers: a lower peak RSS.
     blocks = [(samples[start:start + block], start, np.empty((min(rows, n - start), len(low))))
               for start in range(0, n, block)]
@@ -318,7 +306,7 @@ def spw(
         components = components or (PowerComponent("power", total, uncertainty=uncertainty),)
         samples = _power_samples(np.array([c.total for c in components]),
                                  np.array([c.uncertainty for c in components]), n_samples, seed)
-        if np.any(samples <= 0):
+        if samples.min() <= 0:  # a reduction: no second n-length array
             raise NonPositivePowerError(
                 "power uncertainty admits non-positive totals; narrow the intervals")
         # In place: the same ufunc on the same operands as ``sg / samples``.
@@ -332,10 +320,14 @@ def spw(
 
 
 def spw_normalised(candidate: SpwResult, baseline: SpwResult) -> float:
-    """Candidate-to-baseline SpW ratio."""
+    """Candidate-to-baseline SpW ratio; ``FactorOutOfRangeError`` if it overflows."""
     if baseline.spw <= 0:
         raise ZeroBaselineError("baseline SpW must be > 0 for normalisation")
-    return candidate.spw / baseline.spw
+    ratio = candidate.spw / baseline.spw
+    if not math.isfinite(ratio):
+        raise FactorOutOfRangeError(
+            f"SpW ratio {candidate.spw} / {baseline.spw} is not finite")
+    return ratio
 
 
 def sei(weights: SeiWeights, criteria: SeiCriteria) -> float:

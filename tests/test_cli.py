@@ -409,6 +409,11 @@ class TestScenario:
         assert out == ""
         assert f"cannot read scenario file {path}" in err and "internal error" not in err
 
+    def test_null_byte_in_path(self, capsys):
+        code, out, err = run(capsys, "scenario", "a\x00b.json")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read scenario file a\x00b.json: embedded null byte\n"
+
     def test_broken_scenario(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}", encoding="utf-8")
@@ -481,6 +486,23 @@ class TestScenario:
         assert proc.stdout == b""
         assert err.startswith(f"error: strategy '{strategy['name']}': ")
         assert "RuntimeWarning" not in err
+
+    def test_spw_ratio_overflow_names_the_strategy(self, capsys, tmp_path, scenario_s1_path):
+        # Both SpWs are finite; only the ECC-to-baseline ratio overflows.
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        for strategy in doc["strategies"]:
+            if strategy["name"] == doc["baseline"]:
+                for target in strategy["targets"]:
+                    target["p"] = 1e-200
+            else:
+                strategy["controls"][0]["power"] = [{"label": "tiny", "p_base_w": 1e-200}]
+        path = tmp_path / "ratio_overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: strategy 'ECC': SpW ratio ")
+        assert err.endswith(" is not finite\n") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("default::spwkit.errors.DuplicatePowerLabelWarning")
     def test_duplicate_power_label_warning_line(self, capsys, tmp_path, scenario_s1_path):

@@ -1,6 +1,7 @@
 """The gain / power / per-watt / index calculus and its invariants."""
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -19,6 +20,7 @@ from spwkit.errors import (
     WeightsNotNormalizedError,
     ZeroBaselineError,
 )
+from spwkit.scenario import MAX_MONTE_CARLO_N
 from spwkit.spw import (
     MONTE_CARLO_CHUNK,
     PowerComponent,
@@ -444,8 +446,8 @@ class TestMonteCarloSampler:
             tracemalloc.stop()
         assert peak < 8_000_000  # one (n, k) float64 matrix alone is 19.2 MB
 
-    def test_warm_call_holds_one_n_length_array(self):
-        n = 100_000
+    @staticmethod
+    def assert_warm_call_holds_one_n_length_array(n):
         components = [PowerComponent(f"c{i}", 1.0, uncertainty=0.1) for i in range(24)]
         power = operational_power(components)
         spw(10.0, power, MC, components=components, n_samples=n, seed=1)
@@ -457,8 +459,12 @@ class TestMonteCarloSampler:
             tracemalloc.stop()
         assert peak <= 8 * n + 512 * 1024  # the float64 samples plus a fixed working set
 
-    # The draws do not depend on how many workers split the rows, even with
-    # more workers than cores switching threads as often as they can.
+    def test_warm_call_holds_one_n_length_array(self):
+        for n in (100_000, MAX_MONTE_CARLO_N):
+            self.assert_warm_call_holds_one_n_length_array(n)
+
+    # The draws do not depend on how many blocks split the rows, even with
+    # more blocks than cores switching threads as often as they can.
     @settings(derandomize=True, deadline=None)
     @given(split_inputs(), st.integers(min_value=0, max_value=2**64 - 1))
     def test_split_draws_equal_one_uniform_call(self, inputs, seed):
@@ -468,10 +474,9 @@ class TestMonteCarloSampler:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for cpus in (1, 2, 3, 5):
+            for workers in (1, 2, 3, 5):
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(SPW_MODULE, "_cpu_count", lambda: cpus)
-                    patch.setattr(SPW_MODULE, "MONTE_CARLO_WORKERS", cpus)
+                    patch.setattr(SPW_MODULE, "MONTE_CARLO_WORKERS", workers)
                     samples = _power_samples(centres, widths, n, seed)
                 assert samples.tobytes() == reference.tobytes()
         finally:
@@ -490,7 +495,6 @@ class TestMonteCarloSampler:
                 raise failure
             fill(out, first, *args)
 
-        monkeypatch.setattr(SPW_MODULE, "_cpu_count", lambda: 2)
         monkeypatch.setattr(SPW_MODULE, "_fill_block", fill_or_fail)
         components = [PowerComponent(f"c{i}", 1.0, uncertainty=0.1) for i in range(8)]
         threads = threading.active_count()
@@ -500,9 +504,31 @@ class TestMonteCarloSampler:
         assert raised.value is failure
         assert threading.active_count() == threads
 
+    # The plan depends on n and k alone: the blocks, the draws and the
+    # working set are the same whatever CPUs the process may run on.
     def test_many_cpus_keep_a_fixed_working_set(self, monkeypatch):
-        monkeypatch.setattr(SPW_MODULE, "_cpu_count", lambda: 64)
-        self.test_warm_call_holds_one_n_length_array()
+        centres, widths = np.full(24, 1.0), np.full(24, 0.1)
+        fill = SPW_MODULE._fill_block
+
+        def plan():
+            blocks = []
+
+            def record(out, first, *args):
+                blocks.append((first, len(out)))
+                fill(out, first, *args)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(SPW_MODULE, "_fill_block", record)
+                samples = _power_samples(centres, widths, 4 * MONTE_CARLO_CHUNK, 1)
+            return sorted(blocks), samples.tobytes()
+
+        expected = plan()
+        for cpus in (1, 64):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert plan() == expected
+            self.assert_warm_call_holds_one_n_length_array(100_000)
 
 
 @st.composite
@@ -675,6 +701,12 @@ class TestNormalisation:
         with pytest.raises(ZeroBaselineError):
             spw_normalised(spw(5.0, PowerEstimate(2.0, 0.0)),
                            spw(0.0, PowerEstimate(2.0, 0.0)))
+
+    def test_overflowing_ratio_rejected(self):
+        # Both SpWs are finite, 1e200 and 1e-200; their ratio is not.
+        with pytest.raises(FactorOutOfRangeError, match="^SpW ratio .* is not finite$"):
+            spw_normalised(spw(1.0, PowerEstimate(1e-200, 0.0)),
+                           spw(1e-200, PowerEstimate(1.0, 0.0)))
 
     def test_argmax_invariant_under_baseline_choice(self):
         results = [spw(sg, PowerEstimate(p, 0.0))
