@@ -252,27 +252,39 @@ def loads(text: str | Iterable[str], source: str = "<string>") -> Register:
     return Register(entries=entries, source_path=source)
 
 
+class _CountingFile(io.FileIO):
+    """A raw file that counts the bytes its reads return."""
+
+    consumed = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.consumed += len(data)
+        return data
+
+
 def load_register(path: str | Path) -> Register:
-    """Load and validate a register file, streaming its lines into ``loads``."""
+    """Load and validate a register file, streaming its lines into ``loads``.
+
+    The file is read once and never sought or reopened, so a pipe or FIFO
+    loads as a disk file does, and an undecodable byte is named by its
+    position in the input, byte order mark included."""
     path = Path(path)
     try:
-        fh = path.open(encoding="utf-8", newline="")
+        raw = _CountingFile(path)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise RegisterError(f"cannot read register file {path}: {exc}") from exc
-    with fh:
+    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         try:
             return loads(fh, source=str(path))
         except OSError as exc:
             raise RegisterError(f"cannot read register file {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:  # its position counts from the block being decoded
-            try:  # so decode the open file whole (not reopened: a FIFO would block)
-                fh.buffer.seek(0)
-                fh.buffer.read().decode("utf-8")
-            except UnicodeDecodeError as whole:  # its position counts from the file's start
-                exc = whole
-            except OSError:  # a pipe cannot seek: the streamed error stands
-                pass
-            raise RegisterError(f"cannot read register file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # exc.object: the bytes held back plus the last read
+            at, width = raw.consumed - len(exc.object) + exc.start, exc.end - exc.start
+            where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if width == 1
+                     else f"bytes in position {at}-{at + width - 1}")
+            raise RegisterError(f"cannot read register file {path}: '{exc.encoding}' codec "
+                                f"can't decode {where}: {exc.reason}") from exc
 
 
 def load_bundled_register() -> Register:
@@ -282,18 +294,6 @@ def load_bundled_register() -> Register:
         return load_register(path)
 
 
-def _entry_row(e: VulnerabilityEntry) -> list[str]:
-    return [
-        e.id, e.title, e.subsystem.value,
-        ";".join(sorted(s.value for s in e.stride)),
-        ";".join(e.attack_techniques),
-        e.cvss_vector.to_string() if e.cvss_vector else "",
-        f"{e.cvss_score:.1f}",
-        ";".join(sorted(m.value for m in e.mission_functions)),
-        e.description, e.preconditions, e.impact, e.mitigations,
-    ]
-
-
 def serialize(register: Register) -> str:
     """Render a register back to CSV; loads(serialize(r)) == r."""
     buf = io.StringIO()
@@ -301,10 +301,17 @@ def serialize(register: Register) -> str:
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(COLUMNS)
     for e in register.entries:
-        writer.writerow(_entry_row(e))
+        writer.writerow([
+            e.id, e.title, e.subsystem.value,
+            ";".join(sorted(s.value for s in e.stride)),
+            ";".join(e.attack_techniques),
+            e.cvss_vector.to_string() if e.cvss_vector else "",
+            f"{e.cvss_score:.1f}",
+            ";".join(sorted(m.value for m in e.mission_functions)),
+            e.description, e.preconditions, e.impact, e.mitigations,
+        ])
     return buf.getvalue()
 
 
 def save_register(register: Register, path: str | Path) -> None:
     Path(path).write_text(serialize(register), encoding="utf-8", newline="")
-

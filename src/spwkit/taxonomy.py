@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import warnings
 from enum import Enum, IntEnum
-from functools import lru_cache
 
 from .errors import DefaultTierWarning
 
@@ -90,30 +89,22 @@ _MEDIUM_TRIGGERS = frozenset({
 _OTHER_ONLY = frozenset({MissionFunction.OTHER})
 
 
-# Memo bound: there are 2**7 sets of the seven mission functions.
-@lru_cache(maxsize=128)
-def _tier(funcs: frozenset) -> RiskTier:
-    if not funcs:
-        raise ValueError("entry has no mission_functions to classify")
-    if funcs & _HIGH_TRIGGERS:
-        return RiskTier.HIGH
-    if funcs & _MEDIUM_TRIGGERS:
-        return RiskTier.MEDIUM
-    return RiskTier.LOW
-
-
 def classify_tier(entry) -> RiskTier:
     """Tier an entry (or a bare set of mission functions).
 
     Entries tagged only 'other' fall through to low with a warning naming
     the entry's id, since nothing mission-critical is claimed for them.
-    The tier is looked up once per distinct set; the warning fires per call.
     """
     funcs = frozenset(getattr(entry, "mission_functions", entry))
-    tier = _tier(funcs)
+    if not funcs:
+        raise ValueError("entry has no mission_functions to classify")
     if funcs == _OTHER_ONLY:
         entry_id = getattr(entry, "id", None)
         name = "entry" if entry_id is None else f"entry {entry_id}"
         warnings.warn(f"{name} tagged only 'other'; defaulting to low tier",
                       DefaultTierWarning, stacklevel=2)
-    return tier
+    if not funcs.isdisjoint(_HIGH_TRIGGERS):
+        return RiskTier.HIGH
+    if not funcs.isdisjoint(_MEDIUM_TRIGGERS):
+        return RiskTier.MEDIUM
+    return RiskTier.LOW

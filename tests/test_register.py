@@ -314,10 +314,18 @@ class TestLoading:
         with pytest.raises(RegisterError, match=f"byte 0xff in position {at}:"):
             load_register(path)
 
-    @pytest.mark.parametrize("source", ["pipe", "fifo"])
-    def test_undecodable_pipe_is_a_register_error(self, tmp_path, register_path, source):
-        # A pipe cannot seek back to decode the file whole: the streamed error stands.
-        data = register_path.read_bytes()[:10_000] + b"\xff"
+    @pytest.mark.parametrize("source, bad, shown", [
+        pytest.param("pipe", b"\xff", "byte 0xff in position 10000:", id="pipe"),
+        pytest.param("fifo", b"\xff", "byte 0xff in position 10000:", id="fifo"),
+        pytest.param("pipe", b"\xf0\x9f\x98(", "bytes in position 10000-10002:",
+                     id="pipe-cut-sequence"),
+        pytest.param("fifo", b"\xf0\x9f\x98(", "bytes in position 10000-10002:",
+                     id="fifo-cut-sequence"),
+    ])
+    def test_undecodable_pipe_is_a_register_error(self, tmp_path, register_path, source,
+                                                  bad, shown):
+        # Read once, a pipe or FIFO names the byte's position in its input, as a file does.
+        data = register_path.read_bytes()[:10_000] + bad
         if source == "pipe":
             if not Path("/dev/fd").is_dir():
                 pytest.skip("needs /dev/fd")
@@ -333,9 +341,8 @@ class TestLoading:
             # A daemon thread: its open() waits for the reader.
             threading.Thread(target=path.write_bytes, args=(data,), daemon=True).start()
         try:
-            with pytest.raises(RegisterError, match=(
-                    f"^cannot read register file {path}: "
-                    "'utf-8' codec can't decode byte 0xff in position ")) as raised:
+            with pytest.raises(RegisterError, match=f"^cannot read register file {path}: "
+                               f"'utf-8' codec can't decode {shown}") as raised:
                 load_register(path)
         finally:
             if source == "pipe":
