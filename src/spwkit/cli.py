@@ -5,12 +5,13 @@ classify, stats, scenario and checklist take --format and --out; scenario
 also takes --seed and --paper-check; any other option is a usage error
 (exit 2). Reports go to stdout (or --out); diagnostics go to stderr, each
 warning as one "warning: <Class>: <message>" line. Exit codes: 0 success,
-1 internal error, 2 input or validation error. The SPW_REGISTER
-environment variable supplies a default register path where one is not
-given on the command line. Only `scenario` imports spwkit.scenario, on
-its first call to load_scenario() or evaluate() here. run(), the `spw`
-process, freezes the garbage collector once the command returns
-(in-process main() never does) and exits 2 if stdout is a closed pipe.
+1 internal error, 2 input or validation error, chosen by main() alone; it
+flushes stdout before it returns 0, so a closed pipe, like a report that
+stdout cannot encode, is exit 2. The SPW_REGISTER environment variable
+supplies a default register path where one is not given on the command
+line. Only `scenario` imports spwkit.scenario, on its first call to
+load_scenario() or evaluate() here. run(), the `spw` process, freezes the
+garbage collector once the command returns (in-process main() never does).
 """
 
 from __future__ import annotations
@@ -54,28 +55,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report output format (default: md)")
     output.add_argument("--out", metavar="PATH",
                         help="write the report to PATH instead of stdout")
+    register = argparse.ArgumentParser(add_help=False)
+    register.add_argument("register", nargs="?", help=f"register CSV (default: ${REGISTER_ENV})")
     parser = argparse.ArgumentParser(
         prog="spw",
         description="Power-aware security risk assessment for CubeSat missions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a register file")
+    p = sub.add_parser("validate", parents=[register], help="validate a register file")
     p.set_defaults(handler=cmd_validate)
-    p.add_argument("register", nargs="?", help=f"register CSV (default: ${REGISTER_ENV})")
 
     p = sub.add_parser("score", help="score a CVSS v3.1 vector string")
     p.set_defaults(handler=cmd_score)
     p.add_argument("vector", help="vector, e.g. CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H")
 
-    p = sub.add_parser("classify", parents=[output],
+    p = sub.add_parser("classify", parents=[output, register],
                        help="tier-classify every register entry")
     p.set_defaults(handler=cmd_classify)
-    p.add_argument("register", nargs="?", help=f"register CSV (default: ${REGISTER_ENV})")
 
-    p = sub.add_parser("stats", parents=[output],
+    p = sub.add_parser("stats", parents=[output, register],
                        help="per-subsystem severity summary")
     p.set_defaults(handler=cmd_stats)
-    p.add_argument("register", nargs="?", help=f"register CSV (default: ${REGISTER_ENV})")
 
     p = sub.add_parser("scenario", parents=[output],
                        help="evaluate a scenario file and report the comparison")
@@ -119,38 +119,30 @@ def evaluate(scenario, register, seed=None):
     return evaluate(scenario, register, seed=seed)
 
 
-def cmd_validate(args) -> int:
-    register = _load(args)
-    print(f"{len(register)} entries OK")
-    return EXIT_OK
+def cmd_validate(args) -> None:
+    print(f"{len(_load(args))} entries OK")
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> None:
     print(cvss.score_string(args.vector))
-    return EXIT_OK
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> None:
     _emit(classify_report(_load(args)), args)
-    return EXIT_OK
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     _emit(stats_report(_load(args)), args)
-    return EXIT_OK
 
 
-def cmd_scenario(args) -> int:
+def cmd_scenario(args) -> None:
     scenario = load_scenario(args.scenario)
-    register = load_register(scenario.register_path)
-    result = evaluate(scenario, register, seed=args.seed)
+    result = evaluate(scenario, load_register(scenario.register_path), seed=args.seed)
     _emit(scenario_report(result, paper_check=args.paper_check), args)
-    return EXIT_OK
 
 
-def cmd_checklist(args) -> int:
+def cmd_checklist(args) -> None:
     _emit(checklist_report(), args)
-    return EXIT_OK
 
 
 def _diagnostic(prefix: str, message) -> None:
@@ -167,13 +159,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return args.handler(args)
-    except (SpwkitError, OSError) as exc:
+            args.handler(args)
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+    except (SpwkitError, OSError, UnicodeEncodeError) as exc:
         _diagnostic("error: ", exc)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive
         _diagnostic("internal error: ", exc)
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 def run() -> None:
@@ -181,15 +176,8 @@ def run() -> None:
     collections of objects the OS reclaims with the process anyway."""
     code = main()
     gc.freeze()
-    try:
-        if sys.stdout is not None:  # None when fd 1 was closed at start-up
-            sys.stdout.flush()
-    except OSError as exc:
-        # Shutdown flushes stdout again; let that land in /dev/null.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if code == EXIT_OK:
-            _diagnostic("error: ", exc)
-            code = EXIT_INPUT
+    if code:  # shutdown flushes stdout again: let what a failed write left land in /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     raise SystemExit(code)
 
 

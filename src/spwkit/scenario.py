@@ -120,10 +120,7 @@ class StrategySpec:
 
     def effective_rrf(self) -> float:
         """Combined risk reduction of all layered controls."""
-        residual = 1.0
-        for control in self.controls:
-            residual *= 1.0 - control.rrf
-        return 1.0 - residual
+        return 1.0 - math.prod(1.0 - c.rrf for c in self.controls)
 
     def power_components(self) -> tuple[PowerComponent, ...]:
         return tuple(c for control in self.controls for c in control.power_components)
@@ -349,18 +346,16 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     """
     path = Path(path)
     try:
-        fh = path.open(encoding="utf-8-sig")
+        data = path.read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise SchemaViolationError(f"cannot read scenario file {path}: {exc}") from exc
-    with fh:
-        try:
-            doc = json.loads(fh.read(), object_pairs_hook=_unique_keys)
-        except OSError as exc:
-            raise SchemaViolationError(f"cannot read scenario file {path}: {exc}") from exc
-        except SchemaViolationError as exc:
-            raise SchemaViolationError(f"{path}: {exc}") from None
-        except ValueError as exc:  # undecodable bytes, bad JSON, over-long int literals
-            raise SchemaViolationError(f"{path} is not valid JSON: {exc}") from exc
+    try:  # a decode error's position counts the byte order mark, as a register's does
+        doc = json.loads(data.decode("utf-8").removeprefix("\ufeff"),
+                         object_pairs_hook=_unique_keys)
+    except SchemaViolationError as exc:
+        raise SchemaViolationError(f"{path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, long ints, deep nesting
+        raise SchemaViolationError(f"{path} is not valid JSON: {exc}") from exc
     scenario = parse_scenario(doc, base_dir=path.parent)
     check_targets_resolve(scenario, load_register(scenario.register_path))
     return scenario
@@ -407,13 +402,18 @@ def evaluate(scenario: ScenarioSpec, register: Register,
             complexity_score=strategy.complexity_score))
         base_power, base_sg, base_sei = ((base.power.total, base.sg, base.sei_value) if base
                                          else (power.total, sg, sei_value))
+        power_saving, security_reduction = 1.0 - power.total / base_power, (base_sg - sg) / base_sg
+        sei_ratio = sei_value / base_sei if base_sei else math.nan  # reports print NaN as n/a
+        for figure, value in zip(("power saving", "security reduction", "SEI ratio"),
+                                 (power_saving * 100, security_reduction * 100, sei_ratio)):
+            if math.isinf(value):  # the percentages as reports print them
+                raise FactorOutOfRangeError(f"strategy '{strategy.name}': {figure} is not finite")
         return StrategyOutcome(
             name=strategy.name, controls=tuple(c.control_id for c in strategy.controls),
             power=power, first_order=first_order, monte_carlo=monte_carlo,
             sei_value=sei_value, rrf_composed=sum(1 for c in strategy.controls if c.rrf > 0) > 1,
-            spw_ratio=spw_ratio, power_saving=1.0 - power.total / base_power,
-            security_reduction=(base_sg - sg) / base_sg,
-            sei_ratio=sei_value / base_sei if base_sei else float("nan"))
+            spw_ratio=spw_ratio, power_saving=power_saving,
+            security_reduction=security_reduction, sei_ratio=sei_ratio)
 
     # The baseline goes first, so its errors win over those of earlier-listed strategies.
     base = measure(scenario.strategy(scenario.baseline_strategy))

@@ -209,7 +209,8 @@ def _power_samples(centres: np.ndarray, widths: np.ndarray, n: int,
     widths, size=(n, k)).sum(axis=1)``: ``uniform`` computes ``low + (high
     - low) * next_double`` in C order, one 64-bit draw per value, and so
     does this, at most ``MONTE_CARLO_CHUNK`` values at a time. On every
-    machine the rows split into ``min(chunks, MONTE_CARLO_WORKERS)`` blocks
+    machine, from 4 chunks on (below that a thread costs more than it
+    saves), the rows split into ``min(chunks, MONTE_CARLO_WORKERS)`` blocks
     of whole chunks, each block's generator advanced to its first draw, so
     the values do not depend on the block count. The calling thread fills
     the first block and a thread each the others, each through its own
@@ -220,7 +221,7 @@ def _power_samples(centres: np.ndarray, widths: np.ndarray, n: int,
     samples = np.empty(n)
     rows = max(1, MONTE_CARLO_CHUNK // len(low))
     chunks = -(-n // rows)
-    block = -(-chunks // min(chunks, MONTE_CARLO_WORKERS)) * rows
+    block = -(-chunks // (min(chunks, MONTE_CARLO_WORKERS) if chunks >= 4 else 1)) * rows
     # Buffers made here, not in the workers: a lower peak RSS.
     blocks = [(samples[start:start + block], start, np.empty((min(rows, n - start), len(low))))
               for start in range(0, n, block)]

@@ -3,6 +3,7 @@
 import codecs
 import csv
 import gc
+import io
 import json
 import os
 import re
@@ -211,6 +212,17 @@ class TestClassify:
         assert proc.stderr.decode("utf-8").splitlines() == [
             f"warning: DefaultTierWarning: entry {entry_id} tagged only 'other'; "
             "defaulting to low tier" for entry_id in ("G9", "O7")]
+
+    def test_report_stdout_cannot_encode(self, tmp_path):
+        path = tmp_path / "register.csv"
+        path.write_text(f"{HEADER}\nC1,Café link,comms,S,,,9.0,command_integrity,,,,\n",
+                        encoding="utf-8")
+        env = {**_child_env(), "PYTHONIOENCODING": "ascii"}
+        proc = subprocess.run([sys.executable, "-m", "spwkit.cli", "classify", str(path)],
+                              capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: 'ascii' codec can't encode character ")
+        assert proc.stderr.count(b"\n") == 1
 
 
 def test_triage_never_imports_numpy_random(register_path):
@@ -447,6 +459,21 @@ class TestScenario:
         assert out == ""
         assert "latin1.json" in err and "internal error" not in err
 
+    def test_decode_error_position_counts_the_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "bom_latin1.json"
+        path.write_bytes(codecs.BOM_UTF8 + b'{"name": "\xff"}')
+        code, out, err = run(capsys, "scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path} is not valid JSON: 'utf-8' codec can't decode "
+                       "byte 0xff in position 13: invalid start byte\n")
+
+    def test_too_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
     def test_over_long_integer(self, capsys, tmp_path, scenario_s2_path):
         doc = json.loads(scenario_s2_path.read_text(encoding="utf-8"))
         doc["register"] = str(scenario_s2_path.parent / doc["register"])
@@ -503,6 +530,27 @@ class TestScenario:
         assert (code, out) == (2, "")
         assert err.startswith("error: strategy 'ECC': SpW ratio ")
         assert err.endswith(" is not finite\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("figure, base_watts", [
+        ("SEI ratio", None), ("security reduction", 1e-300), ("power saving", 1e-310)])
+    def test_comparison_figure_overflow_names_the_strategy(self, capsys, tmp_path,
+                                                           scenario_s1_path, figure, base_watts):
+        # Every SpW and the SpW ratio stay finite; only the figure overflows, as printed.
+        doc = json.loads(scenario_s1_path.read_text(encoding="utf-8"))
+        doc["register"] = str(scenario_s1_path.parent / doc["register"])
+        ecc, base = doc["strategies"]  # ECC against the RSA-2048 baseline
+        if base_watts is None:  # 1.0 / 1e-310
+            doc["weights"] = {"alpha": 0, "beta": 0, "gamma": 0, "delta": 1}
+            base["criteria"]["complexity"], ecc["criteria"]["complexity"] = 1e-310, 1.0
+        else:  # a tiny baseline gain (-9.97e307 at 1e-300 W) and power (-1.8e309 at 1e-310 W)
+            base["targets"] = [{**t, "p": 1e-300, "m": 1e-8} for t in base["targets"]]
+            base["controls"][0]["power"] = [
+                {"label": "tiny", "p_base_w": base_watts, "uncertainty_w": 0}]
+        path = tmp_path / "figure_overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: strategy 'ECC': {figure} is not finite\n"
 
     @pytest.mark.filterwarnings("default::spwkit.errors.DuplicatePowerLabelWarning")
     def test_duplicate_power_label_warning_line(self, capsys, tmp_path, scenario_s1_path):
@@ -782,6 +830,15 @@ class TestRun:
         path = register_path if register == "bundled" else dup_register
         proc = run_python("-c", self.PROBE, "validate", str(path))
         assert proc.stderr.decode("utf-8").splitlines()[-1] == f"{code} True"
+
+    def test_main_in_process_maps_a_failing_flush_to_exit_2(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["checklist"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
     def test_main_in_process_never_freezes(self, capsys, register_path):
         before = gc.get_freeze_count()

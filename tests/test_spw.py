@@ -530,6 +530,22 @@ class TestMonteCarloSampler:
             assert plan() == expected
             self.assert_warm_call_holds_one_n_length_array(100_000)
 
+    # Below 4 chunks a second thread costs more than it saves, so the
+    # calling thread fills all the rows as one block.
+    @pytest.mark.parametrize("chunks, first_chunks", [(3, [0]), (4, [0, 2])])
+    def test_the_rows_split_from_4_chunks(self, monkeypatch, chunks, first_chunks):
+        rows = MONTE_CARLO_CHUNK // 24
+        fill = SPW_MODULE._fill_block
+        firsts = []
+
+        def record(out, first, *args):
+            firsts.append(first)
+            fill(out, first, *args)
+
+        monkeypatch.setattr(SPW_MODULE, "_fill_block", record)
+        _power_samples(np.full(24, 1.0), np.full(24, 0.1), chunks * rows, 1)
+        assert sorted(firsts) == [c * rows for c in first_chunks]
+
 
 @st.composite
 def sd_inputs(draw):
