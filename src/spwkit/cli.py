@@ -7,7 +7,8 @@ also takes --seed and --paper-check; any other option is a usage error
 warning as one "warning: <Class>: <message>" line. Exit codes: 0 success,
 1 internal error, 2 input or validation error, chosen by main() alone; it
 flushes stdout before it returns 0, so a closed pipe, like a report that
-stdout cannot encode, is exit 2. The SPW_REGISTER environment variable
+stdout cannot encode, is exit 2 (written a slice at a time once all
+encode, such a report leaves stdout empty at any size). $SPW_REGISTER
 supplies a default register path where one is not given on the command
 line. Only `scenario` imports spwkit.scenario, on its first call to
 load_scenario() or evaluate() here. run(), the `spw` process, freezes the
@@ -21,7 +22,6 @@ import gc
 import os
 import sys
 import warnings
-from pathlib import Path
 
 from . import cvss
 from .errors import SpwkitError
@@ -40,6 +40,7 @@ EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 
 REGISTER_ENV = "SPW_REGISTER"
+REPORT_SLICE = 1 << 16  # characters per report write: no second full-size copy
 
 
 def _seed(text: str) -> int:
@@ -101,12 +102,31 @@ def _load(args) -> Register:
     return load_register(path)
 
 
+def _write(stream, text: str) -> None:
+    """Write ``text`` in slices once all encode as the stream will: none if one cannot."""
+    slices = range(0, len(text), REPORT_SLICE)
+    if getattr(stream, "encoding", None):  # io.StringIO has none and takes any text
+        for at in slices:
+            try:
+                text[at:at + REPORT_SLICE].encode(stream.encoding, stream.errors)
+            except UnicodeEncodeError as exc:
+                raise UnicodeEncodeError(exc.encoding, text, at + exc.start, at + exc.end,
+                                         exc.reason) from None
+    for at in slices:
+        stream.write(text[at:at + REPORT_SLICE])
+
+
 def _emit(doc: ReportDocument, args) -> None:
     rendered = doc.render(args.format)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-    else:
-        print(rendered, end="")  # no-op when fd 1 was closed at start-up
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except ValueError as exc:  # a NUL in the path
+            raise SpwkitError(f"cannot write report file {args.out}: {exc}") from exc
+        with out:
+            _write(out, rendered)
+    elif sys.stdout is not None:  # None when fd 1 was closed at start-up
+        _write(sys.stdout, rendered)
 
 
 def load_scenario(path):

@@ -17,7 +17,8 @@ import pytest
 import spwkit
 
 from spwkit.cli import main
-from spwkit.register import COLUMNS
+from spwkit.register import COLUMNS, load_register
+from spwkit.report import classify_report
 
 HEADER = ",".join(COLUMNS)
 
@@ -775,6 +776,59 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert "| Ground segment |" in target.read_text(encoding="utf-8")
+
+    def test_unwritable_path_is_an_input_fault(self, capsys, tmp_path):
+        code, out, err = run(capsys, "checklist", "--out", "a\x00b")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write report file a\x00b: embedded null byte\n"
+        target = tmp_path / "absent" / "report.md"
+        code, out, err = run(capsys, "checklist", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+class TestLargeReport:
+    """A report several times the CLI's 64 K-character write slice."""
+
+    @pytest.fixture()
+    def large_register(self, tmp_path, register_path):
+        """The bundled rows but the two tagged only 'other' (which warn), 50
+        times under new ids, the last one titled 'Café link'."""
+        with register_path.open(encoding="utf-8", newline="") as fh:
+            lines = (line for line in fh if not line.startswith("#"))
+            header, *rows = (r for r in csv.reader(lines) if r)
+        kept = [r for r in rows if r[7] != "other"] * 50
+        rows = [[f"{r[0][0]}{i}", *r[1:]] for i, r in enumerate(kept)]
+        rows[-1][1] = "Café link"
+        path = tmp_path / "large.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        return path
+
+    def test_stdout_that_cannot_encode_gets_nothing(self, large_register):
+        report = classify_report(load_register(large_register)).render("csv")
+        assert len(report) > 2 * 2 ** 16
+        env = {**_child_env(), "PYTHONIOENCODING": "ascii"}
+        proc = subprocess.run([sys.executable, "-m", "spwkit.cli", "classify",
+                               str(large_register), "--format", "csv"],
+                              capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode("ascii") == (
+            "error: 'ascii' codec can't encode character '\\xe9' in position "
+            f"{report.index('é')}: ordinal not in range(128)\n")
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "text"])
+    def test_stdout_equals_out_file_and_render(self, capsys, tmp_path, large_register, fmt):
+        report = classify_report(load_register(large_register)).render(fmt)
+        target = tmp_path / f"report.{fmt}"
+        assert run(capsys, "classify", str(large_register), "--format", fmt,
+                   "--out", str(target)) == (0, "", "")
+        env = {**_child_env(), "PYTHONIOENCODING": "utf-8"}
+        proc = subprocess.run([sys.executable, "-m", "spwkit.cli", "classify",
+                               str(large_register), "--format", fmt],
+                              capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == target.read_bytes() == report.encode("utf-8")
 
 
 class TestOptions:

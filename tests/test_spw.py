@@ -463,6 +463,18 @@ class TestMonteCarloSampler:
         for n in (100_000, MAX_MONTE_CARLO_N):
             self.assert_warm_call_holds_one_n_length_array(n)
 
+    def test_leaves_the_callers_ufunc_buffer_size(self):
+        # The sampler sets its own buffer size on each thread it fills from;
+        # a size that is not numpy's default shows a reset to the default too.
+        components = [PowerComponent(f"c{i}", 1.0, uncertainty=0.1) for i in range(24)]
+        previous = np.setbufsize(4096)
+        try:
+            spw(10.0, operational_power(components), MC, components=components,
+                n_samples=100_000, seed=1)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(previous)
+
     # The draws do not depend on how many blocks split the rows, even with
     # more blocks than cores switching threads as often as they can.
     @settings(derandomize=True, deadline=None)
