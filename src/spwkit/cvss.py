@@ -3,6 +3,7 @@
 Implements the base metric group only. Attack-vector coding guidance for
 orbital systems (RF reachability counts as Network, orbital inaccessibility
 as Physical) affects how registers assign values, not the arithmetic here.
+A canonical vector is built through its slots, as register rows are.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import (
     BadPrefixError,
@@ -39,9 +40,6 @@ ALLOWED = dict(zip(METRIC_ORDER, map(tuple, (
 # A vector written in METRIC_ORDER with allowed values, one group per metric.
 _CANONICAL = re.compile(re.escape(PREFIX) + "".join(
     f"/{m}:([{''.join(values)}])" for m, values in ALLOWED.items()))
-
-# Memo bound: the base-metric group has 4*2*3*2*2*3*3*3 = 2592 vectors.
-_MEMO_SIZE = 4096
 
 
 class Severity(Enum):
@@ -75,6 +73,18 @@ class CvssVector:
                                 for m, f in zip(METRIC_ORDER, fields(self)))
 
 
+def _through_slots(cls):
+    """A positional builder of ``cls`` (frozen, slotted, no ``__post_init__``) via its slots."""
+    names = [f.name for f in fields(cls)]
+    ns = {"new": object.__new__, "cls": cls, **{f"set_{n}": vars(cls)[n].__set__ for n in names}}
+    exec(f"def build({', '.join(names)}):\n self = new(cls)\n"
+         + "".join(f" set_{n}(self, {n})\n" for n in names) + " return self", ns)
+    return ns["build"]
+
+
+_vector = _through_slots(CvssVector)
+
+
 @dataclass(frozen=True)
 class BaseScore:
     score: float
@@ -84,7 +94,7 @@ class BaseScore:
         return f"{self.score:.1f} {self.severity}"
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=4096)  # above the 4*2*3*2*2*3*3*3 = 2592 canonical vectors
 def parse_vector(text: str) -> CvssVector:
     """Parse a v3.1 vector string; metric order is free, duplicates rejected.
 
@@ -96,7 +106,7 @@ def parse_vector(text: str) -> CvssVector:
     text = text.strip()
     canonical = _CANONICAL.fullmatch(text)
     if canonical:
-        return CvssVector(*canonical.groups())
+        return _vector(*canonical.groups())
     segments = text.split("/")
     if segments[0] != PREFIX:
         raise BadPrefixError(f"vector must start with '{PREFIX}/', got '{segments[0]}'")
@@ -144,7 +154,7 @@ def severity_for(score: float) -> Severity:
     return Severity.CRITICAL
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@cache  # no bound: a value outside the weight tables raises KeyError, so <= 2592 keys
 def base_score(vector: CvssVector) -> BaseScore:
     """Compute the base score for a valid vector (total; never raises)."""
     iss = 1.0 - (
@@ -157,7 +167,7 @@ def base_score(vector: CvssVector) -> BaseScore:
     else:
         impact = 7.52 * (iss - 0.029) - 3.25 * (iss - 0.02) ** 15
 
-    pr_weight = (_PR_WEIGHT_CHANGED if vector.scope == "C" else _PR_WEIGHT_UNCHANGED)
+    pr_weight = {"U": _PR_WEIGHT_UNCHANGED, "C": _PR_WEIGHT_CHANGED}[vector.scope]
     exploitability = (
         8.22
         * _AV_WEIGHT[vector.attack_vector]
@@ -175,8 +185,7 @@ def base_score(vector: CvssVector) -> BaseScore:
     return _rated(score)
 
 
-# Memo bound: a base score is one of the 101 values 0.0, 0.1, ..., 10.0.
-@lru_cache(maxsize=128)
+@cache  # no bound: a base score is one of the 101 values 0.0, 0.1, ..., 10.0
 def _rated(score: float) -> BaseScore:
     """One shared ``BaseScore`` per score value."""
     return BaseScore(score=score, severity=severity_for(score))

@@ -168,6 +168,16 @@ class TestBaseScore:
         raised = replace(vector, **{metric: ladder[current]})
         assert cvss.base_score(raised).score >= cvss.base_score(vector).score
 
+    @pytest.mark.parametrize("metric", ["attack_vector", "scope", "availability"])
+    def test_value_outside_the_tables_is_never_memoised(self, metric):
+        # base_score's memo is unbounded because only the 2592 valid vectors can enter it.
+        from dataclasses import replace
+        vector = replace(cvss.parse_vector(FULL), **{metric: "X"})
+        stored = cvss.base_score.cache_info().currsize
+        with pytest.raises(KeyError):
+            cvss.base_score(vector)
+        assert cvss.base_score.cache_info().currsize == stored
+
 
 class TestRoundup:
     @pytest.mark.parametrize("value,expected", [

@@ -4,9 +4,12 @@ import codecs
 import copy
 import csv
 import dataclasses
+import gc
+import importlib.util
 import io
 import os
 import pickle
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -15,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spwkit import cvss
+from spwkit import cvss, register as register_module
 from spwkit.errors import (
     BadFieldError,
     BadStrideTokenError,
@@ -445,6 +448,109 @@ class TestSlottedRecords:
         twin = pickle.loads(pickle.dumps(register))
         assert twin == register
         assert twin.get("C1") == register.get("C1")
+
+
+def _triage_register():
+    """The register-triage seed-1 input of ``bench/inputs.py``, loaded by path."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("_bench_inputs_register",
+                                                  root / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # @dataclass looks its module up while building the class
+    spec.loader.exec_module(module)
+    inp = module.generate("register-triage", 1, root)
+    return loads(inp.files["register.csv"].decode("utf-8"))
+
+
+def _field_values(record):
+    # Not dataclasses.astuple: that turns a nested CvssVector into a plain tuple.
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+class TestSlotBuiltRecords:
+    """``loads`` builds entries, and ``parse_vector`` canonical vectors, by setting
+    their slots directly; those records are the ones the dataclass ``__init__`` builds."""
+
+    @pytest.fixture(scope="class", params=["bundled", "register-triage-1"])
+    def loaded(self, request):
+        return load_bundled_register() if request.param == "bundled" else _triage_register()
+
+    @staticmethod
+    def _assert_same(built, made):
+        assert built == made and hash(built) == hash(made)
+        assert repr(built) == repr(made)
+        assert pickle.dumps(built) == pickle.dumps(made)
+
+    def test_entries_match_init(self, loaded):
+        for entry in loaded:
+            self._assert_same(entry, VulnerabilityEntry(*_field_values(entry)))
+
+    def test_vectors_match_init(self, loaded):
+        vectors = {e.cvss_vector for e in loaded if e.cvss_vector}
+        assert vectors
+        for vector in vectors:
+            self._assert_same(vector, cvss.CvssVector(*_field_values(vector)))
+
+    def test_builder_preconditions(self):
+        # The builders take fields positionally and skip __post_init__: a check added
+        # there, or a reordered field, would otherwise be skipped or misassigned silently.
+        for cls in (VulnerabilityEntry, cvss.CvssVector):
+            assert not hasattr(cls, "__post_init__")
+            assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+        assert VulnerabilityEntry.__slots__ == COLUMNS
+        assert tuple("".join(word[0] for word in f.name.split("_")).upper()
+                     for f in dataclasses.fields(cvss.CvssVector)) == cvss.METRIC_ORDER
+
+
+class TestCollectorPause:
+    """``loads`` pauses the cyclic collector while it builds rows, then leaves it as found."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_paused_while_rows_are_built(self, monkeypatch):
+        seen = []
+
+        def entry(*values):
+            seen.append(gc.isenabled())
+            return VulnerabilityEntry(*values)
+        monkeypatch.setattr(register_module, "_entry", entry)
+        gc.enable()
+        assert len(loads(make_csv(row(id="A1"), row(id="B2")))) == 2
+        assert seen == [False, False] and gc.isenabled()
+
+    @staticmethod
+    def _read(case, tmp_path, register_path):
+        if case == "good":
+            return loads(make_csv(row()))
+        if case == "bad-row":
+            return loads(make_csv(row(id="A1"), row(id="B2", subsystem="moon")))
+        if case == "csv-error":  # a cell longer than csv.field_size_limit()
+            return loads(make_csv(row(description="x" * (csv.field_size_limit() + 1))))
+        data = register_path.read_bytes()  # an undecodable byte well past the header
+        path = tmp_path / "register.csv"
+        path.write_bytes(data[:12_000] + b"\xff" + data[12_000:])
+        return load_register(path)
+
+    @pytest.mark.parametrize("case, error", [
+        pytest.param("good", None, id="good"),
+        pytest.param("bad-row", "^row B2: unknown subsystem", id="bad-row"),
+        pytest.param("csv-error", "^row 2: field larger than field limit", id="csv-error"),
+        pytest.param("undecodable", "can't decode byte 0xff in position 12000:",
+                     id="undecodable"),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_left_as_found(self, tmp_path, register_path, case, error, enabled):
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            self._read(case, tmp_path, register_path)
+        else:
+            with pytest.raises(RegisterError, match=error):
+                self._read(case, tmp_path, register_path)
+        assert gc.isenabled() is enabled
 
 
 BUNDLED = load_bundled_register()
