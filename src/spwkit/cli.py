@@ -11,8 +11,9 @@ stdout cannot encode, is exit 2 (written a slice at a time once all
 encode, such a report leaves stdout empty at any size). $SPW_REGISTER
 supplies a default register path where one is not given on the command
 line. Only `scenario` imports spwkit.scenario, on its first call to
-load_scenario() or evaluate() here. run(), the `spw` process, freezes the
-garbage collector once the command returns (in-process main() never does).
+load_scenario() or evaluate() here. run(), the `spw` process, alone sets
+interpreter state: it runs the command with the cyclic collector off, then
+freezes the heap (in-process main() and library calls leave it as found).
 """
 
 from __future__ import annotations
@@ -192,8 +193,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The ``spw`` process: exit with ``main()``'s code, skipping shutdown's
-    collections of objects the OS reclaims with the process anyway."""
+    """The ``spw`` process: exit with ``main()``'s code. The collector stays off
+    and the heap is frozen for shutdown: the OS reclaims it with the process."""
+    gc.disable()
     code = main()
     gc.freeze()
     if code:  # shutdown flushes stdout again: let what a failed write left land in /dev/null

@@ -8,8 +8,8 @@ Register files are UTF-8 CSV (RFC 4180 quoting) with this exact header::
 A leading byte order mark and blank lines are skipped, and lines starting with
 ``#`` before the header are comments. Quoted cells may hold any line break;
 saved registers end rows with CRLF. Files are read line by line: loading needs
-memory for the entries, not the text. Entries are built through their slots
-with the cyclic collector paused, then restored. Multi-valued cells (stride,
+memory for the entries, not the text. Entries are built through their slots;
+the collector is left as the caller set it. Multi-valued cells (stride,
 attack_techniques, mission_functions) join tokens with ``;``; subsystem, stride
 and mission tokens are trimmed and matched in any case. A row may carry a
 vector, a declared score, or both; a vector alone gives the row its base score,
@@ -20,7 +20,6 @@ reading ``row <id>: ...`` with ``row_id`` and ``column``.
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import re
 from collections.abc import Iterable
@@ -246,14 +245,8 @@ def loads(text: str | Iterable[str], source: str = "<string>") -> Register:
             "header does not match register schema: " + (detail or "wrong column order"),
             column=missing[0] if missing else None)
 
-    collecting = gc.isenabled()
-    gc.disable()  # rows hold no reference cycles: the collector would scan them for nothing
-    try:
-        entries = [_parse_row(cells, row) for row, cells in records if cells]
-    finally:
-        if collecting:  # the caller's setting, on every exit
-            gc.enable()
-    return Register(entries=entries, source_path=source)
+    return Register(entries=[_parse_row(cells, row) for row, cells in records if cells],
+                    source_path=source)
 
 
 class _CountingFile(io.FileIO):
@@ -275,7 +268,7 @@ def load_register(path: str | Path) -> Register:
     position in the input, byte order mark included."""
     path = Path(path)
     try:
-        raw = _CountingFile(path)
+        raw = _CountingFile(str(path))
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise RegisterError(f"cannot read register file {path}: {exc}") from exc
     with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:

@@ -54,8 +54,8 @@ from .errors import (
 # float64 values (128 KB) drawn per sampler chunk: the chunk stays
 # cache-sized next to the n-length samples array.
 MONTE_CARLO_CHUNK = 1 << 14
-# Sampler blocks per call, each holding its own chunk and an 8 KB ufunc
-# buffer, about 140 KB: two stay within 512 KB.
+# Sampler blocks per call, each holding its own chunk and numpy's default
+# 64 KB ufunc buffer, about 200 KB: two stay within 512 KB.
 MONTE_CARLO_WORKERS = 2
 
 DEFAULT_MONTE_CARLO_N = 10_000
@@ -192,16 +192,12 @@ def _fill_block(out: np.ndarray, first: int, u: np.ndarray, low: np.ndarray,
     at a time through ``u``, from a generator advanced past the ``first *
     k`` draws of the rows before them."""
     rng = np.random.Generator(np.random.PCG64(seed).advance(first * len(low)))
-    size = np.setbufsize(1024)  # an 8 KB ufunc buffer, set per thread
-    try:
-        for at in range(0, len(out), len(u)):
-            chunk = u[:len(out) - at]
-            rng.random(out=chunk)
-            chunk *= span
-            chunk += low
-            chunk.sum(axis=1, out=out[at:at + len(chunk)])
-    finally:
-        np.setbufsize(size)  # the calling thread fills block 0: restore its size
+    for at in range(0, len(out), len(u)):
+        chunk = u[:len(out) - at]
+        rng.random(out=chunk)
+        chunk *= span
+        chunk += low
+        chunk.sum(axis=1, out=out[at:at + len(chunk)])
 
 
 def _power_samples(centres: np.ndarray, widths: np.ndarray, n: int,
@@ -218,8 +214,8 @@ def _power_samples(centres: np.ndarray, widths: np.ndarray, n: int,
     of whole chunks, each block's generator advanced to its first draw, so
     the values do not depend on the block count. The calling thread fills
     the first block and a thread each the others, each through its own
-    chunk buffer and an 8 KB ufunc buffer (``np.setbufsize``, restored on
-    return): memory is the n-length result plus about 140 KB per block.
+    chunk buffer and the thread's ufunc buffer (64 KB by default, at most a
+    chunk): memory is the n-length result plus about 200 KB per block.
     """
     low = centres - widths
     span = (centres + widths) - low

@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import errno
 import gc
 import io
 import json
@@ -73,6 +74,16 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(tmp_path / "absent.csv"))
         assert code == 2
         assert "absent.csv" in err
+
+    @pytest.mark.parametrize("reason", [errno.ENOENT, errno.EISDIR], ids=["missing", "directory"])
+    def test_unreadable_path_is_quoted_as_given(self, capsys, tmp_path, monkeypatch, reason):
+        monkeypatch.chdir(tmp_path)
+        if reason == errno.EISDIR:
+            (tmp_path / "regs.csv").mkdir()
+        code, out, err = run(capsys, "validate", "regs.csv")
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read register file regs.csv: "
+                       f"[Errno {reason}] {os.strerror(reason)}: 'regs.csv'\n")
 
     def test_env_var_default(self, capsys, register_path, monkeypatch):
         monkeypatch.setenv("SPW_REGISTER", str(register_path))
@@ -898,6 +909,32 @@ class TestRun:
         before = gc.get_freeze_count()
         assert run(capsys, "validate", str(register_path))[0] == 0
         assert gc.get_freeze_count() == before
+
+    def test_runs_the_command_with_the_collector_off(self, scenario_s2_path):
+        # The scenario subcommand imports spwkit.scenario, loads a register
+        # and samples: enough allocations for the collector, were it on.
+        probe = ("import gc, sys\n"
+                 "from spwkit.cli import run\n"
+                 "runs = []\n"
+                 "gc.callbacks.append(lambda phase, info: runs.append(phase))\n"
+                 "try:\n"
+                 "    run()\n"
+                 "except SystemExit as exc:\n"
+                 "    print(exc.code, len(runs), gc.isenabled(), gc.get_freeze_count() > 0,\n"
+                 "          file=sys.stderr)\n")
+        proc = run_python("-c", probe, "scenario", str(scenario_s2_path))
+        assert proc.stderr.decode("utf-8").splitlines()[-1] == "0 0 False True"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_in_process_leaves_the_collector_as_found(
+            self, capsys, scenario_s2_path, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(capsys, "scenario", str(scenario_s2_path))[0] == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("launcher", LAUNCHERS)
     @pytest.mark.parametrize("golden, argv", [

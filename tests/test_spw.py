@@ -463,6 +463,15 @@ class TestMonteCarloSampler:
         for n in (100_000, MAX_MONTE_CARLO_N):
             self.assert_warm_call_holds_one_n_length_array(n)
 
+    @pytest.mark.parametrize("size", [8192, 1 << 22])
+    def test_working_set_is_fixed_at_any_ufunc_buffer_size(self, size):
+        # numpy caps a ufunc's buffer at its operand: a 128 KB chunk here.
+        previous = np.setbufsize(size)
+        try:
+            self.assert_warm_call_holds_one_n_length_array(MAX_MONTE_CARLO_N)
+        finally:
+            np.setbufsize(previous)
+
     def test_leaves_the_callers_ufunc_buffer_size(self):
         # The sampler sets its own buffer size on each thread it fills from;
         # a size that is not numpy's default shows a reset to the default too.
