@@ -55,11 +55,11 @@ def run_process(*argv):
 
 
 class TestValidate:
-    def test_fixture_register(self, capsys, register_path):
-        code, out, err = run(capsys, "validate", str(register_path))
-        assert code == 0
-        assert "42 entries OK" in out
-        assert err == ""
+    def test_fixture_register(self, capsys, tmp_path, register_path):
+        noted = tmp_path / "noted.csv"  # a comment and a blank line before the header
+        noted.write_bytes(b"# note\n\n" + register_path.read_bytes())
+        for path in (register_path, noted):
+            assert run(capsys, "validate", str(path)) == (0, "42 entries OK\n", "")
 
     def test_duplicate_id(self, capsys, tmp_path):
         bad = tmp_path / "dup.csv"
@@ -84,6 +84,15 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert err == (f"error: cannot read register file regs.csv: "
                        f"[Errno {reason}] {os.strerror(reason)}: 'regs.csv'\n")
+
+    def test_read_error_is_an_input_fault(self, capsys, register_path, monkeypatch):
+        def fail(self, size=-1):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr("spwkit.register._CountingFile.read", fail)
+        assert run(capsys, "validate", str(register_path)) == (
+            2, "", f"error: cannot read register file {register_path}: "
+                   "[Errno 5] Input/output error\n")
 
     def test_env_var_default(self, capsys, register_path, monkeypatch):
         monkeypatch.setenv("SPW_REGISTER", str(register_path))
@@ -224,6 +233,16 @@ class TestClassify:
         assert proc.stderr.decode("utf-8").splitlines() == [
             f"warning: DefaultTierWarning: entry {entry_id} tagged only 'other'; "
             "defaulting to low tier" for entry_id in ("G9", "O7")]
+
+    def test_a_later_rows_fault_prints_no_earlier_warning(self, tmp_path):
+        # Every row parses before any row is tiered, so the 'other'-only O1
+        # never warns when C2 fails validation.
+        path = tmp_path / "register.csv"
+        path.write_text(f"{HEADER}\nO1,t,obc,S,,,5.0,other,,,,\n"
+                        "C2,t,payload,S,,,5.0,availability,,,,\n", encoding="utf-8")
+        proc = run_process("classify", str(path))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: row C2: unknown subsystem 'payload'\n"
 
     def test_report_stdout_cannot_encode(self, tmp_path):
         path = tmp_path / "register.csv"
@@ -787,6 +806,9 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert "| Ground segment |" in target.read_text(encoding="utf-8")
+        checklist = tmp_path / "checklist.md"
+        assert run(capsys, "checklist", "--out", str(checklist)) == (0, "", "")
+        assert checklist.read_text(encoding="utf-8") == run(capsys, "checklist")[1]
 
     def test_unwritable_path_is_an_input_fault(self, capsys, tmp_path):
         code, out, err = run(capsys, "checklist", "--out", "a\x00b")

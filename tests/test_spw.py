@@ -56,6 +56,14 @@ def contributions_strategy(max_size=5):
         min_size=0, max_size=max_size)
 
 
+def monte_carlo_standard_error(sigma, sg, centres, widths, n, seed):
+    """The standard error of a Monte Carlo sigma, sigma * sqrt((kurtosis - 1) / (4 (n - 1))),
+    with the kurtosis of spw's own draws ``sg / P`` of ``n`` samples under ``seed``."""
+    x = sg / _power_samples(centres, widths, n, seed)
+    kurtosis = np.mean((x - x.mean()) ** 4) / np.var(x) ** 2
+    return sigma * math.sqrt((kurtosis - 1) / (4 * (n - 1)))
+
+
 class TestSecurityGain:
     def test_single_contribution(self):
         assert security_gain([contribution(9.0, 0.8, 1.0, 0.9)]) == pytest.approx(6.48, abs=1e-12)
@@ -200,9 +208,8 @@ class TestSpw:
         n = 20_000
         a, b = centre - width, centre + width
         exact = sg * math.sqrt(1 / (a * b) - (math.log(b / a) / (b - a)) ** 2)
-        x = sg / _power_samples(np.array([centre]), np.array([width]), n, seed)  # spw's draws
-        kurtosis = np.mean((x - x.mean()) ** 4) / np.var(x) ** 2
-        standard_error = exact * math.sqrt((kurtosis - 1) / (4 * (n - 1)))
+        standard_error = monte_carlo_standard_error(
+            exact, sg, np.array([centre]), np.array([width]), n, seed)
         result = spw(sg, (centre, width), SigmaMethod.MONTE_CARLO, n_samples=n, seed=seed)
         assert abs(result.spw_sigma - exact) < 5 * standard_error
 
@@ -216,9 +223,7 @@ class TestSpw:
         n = 20_000
         exact = sigma_two_uniforms(sg, *first, *second)
         centres, widths = np.array([first[0], second[0]]), np.array([first[1], second[1]])
-        x = sg / _power_samples(centres, widths, n, seed)  # spw's draws
-        kurtosis = np.mean((x - x.mean()) ** 4) / np.var(x) ** 2
-        standard_error = exact * math.sqrt((kurtosis - 1) / (4 * (n - 1)))
+        standard_error = monte_carlo_standard_error(exact, sg, centres, widths, n, seed)
         components = [PowerComponent("first", first[0], uncertainty=first[1]),
                       PowerComponent("second", second[0], uncertainty=second[1])]
         result = spw(sg, operational_power(components), SigmaMethod.MONTE_CARLO,
@@ -473,8 +478,8 @@ class TestMonteCarloSampler:
             np.setbufsize(previous)
 
     def test_leaves_the_callers_ufunc_buffer_size(self):
-        # The sampler sets its own buffer size on each thread it fills from;
-        # a size that is not numpy's default shows a reset to the default too.
+        # Guards against a setbufsize call coming back without a restore; a
+        # size that is not numpy's default shows a reset to the default too.
         components = [PowerComponent(f"c{i}", 1.0, uncertainty=0.1) for i in range(24)]
         previous = np.setbufsize(4096)
         try:
@@ -651,9 +656,7 @@ class TestSigmaOracle:
         centres = np.array([p.total for p in components])
         widths = np.array([p.uncertainty for p in components])
         exact = sigma_uniforms(sg, zip(centres.tolist(), widths.tolist()))
-        x = sg / _power_samples(centres, widths, n, seed)  # spw's draws
-        kurtosis = np.mean((x - x.mean()) ** 4) / np.var(x) ** 2
-        standard_error = exact * math.sqrt((kurtosis - 1) / (4 * (n - 1)))
+        standard_error = monte_carlo_standard_error(exact, sg, centres, widths, n, seed)
         result = spw(sg, operational_power(components), SigmaMethod.MONTE_CARLO,
                      components=components, n_samples=n, seed=seed)
         assert abs(result.spw_sigma - exact) < 5 * standard_error
