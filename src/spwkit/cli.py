@@ -12,20 +12,21 @@ encode, such a report leaves stdout empty at any size). $SPW_REGISTER
 supplies a default register path where one is not given on the command
 line. Only `scenario` imports spwkit.scenario, on its first call to
 load_scenario() or evaluate() here. run(), the `spw` process, alone sets
-interpreter state: it runs the command with the cyclic collector off, then
-freezes the heap (in-process main() and library calls leave it as found).
+interpreter state: it runs the command with the cyclic collector off, runs
+the atexit handlers and ends the process without interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import os
 import sys
 import warnings
 
 from . import cvss
-from .errors import SpwkitError
+from .errors import SpwkitError, SpwkitWarning
 from .register import Register, load_register
 from .report import (
     FORMATS,
@@ -168,7 +169,8 @@ def cmd_checklist(args) -> None:
 
 def _diagnostic(prefix: str, message) -> None:
     """One stderr line in one write (print() makes two), with CR and LF as ``\\r`` and ``\\n``."""
-    sys.stderr.write(prefix + str(message).replace("\r", r"\r").replace("\n", r"\n") + "\n")
+    if sys.stderr is not None:  # None when fd 2 was closed at start-up
+        sys.stderr.write(prefix + str(message).replace("\r", r"\r").replace("\n", r"\n") + "\n")
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -183,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             args.handler(args)
         if sys.stdout is not None:  # None when fd 1 was closed at start-up
             sys.stdout.flush()  # a closed pipe fails here, not at shutdown
-    except (SpwkitError, OSError, UnicodeEncodeError) as exc:
+    except (SpwkitError, SpwkitWarning, OSError, UnicodeEncodeError) as exc:
         _diagnostic("error: ", exc)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive
@@ -193,14 +195,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The ``spw`` process: exit with ``main()``'s code. The collector stays off
-    and the heap is frozen for shutdown: the OS reclaims it with the process."""
+    """The ``spw`` process: run the command with the collector off, run the atexit
+    handlers, then end with ``main()``'s code and no interpreter teardown. main()
+    has flushed stdout, stderr is line-buffered, and the OS reclaims the heap."""
     gc.disable()
     code = main()
-    gc.freeze()
-    if code:  # shutdown flushes stdout again: let what a failed write left land in /dev/null
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-    raise SystemExit(code)
+    atexit._run_exitfuncs()
+    os._exit(code)
 
 
 if __name__ == "__main__":

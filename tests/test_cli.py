@@ -884,16 +884,30 @@ LAUNCHERS = {"module": ["-m", "spwkit.cli"],
 
 
 class TestRun:
-    """``run()``, the ``spw`` process: ``main()``'s exit code and output, a
-    frozen collector, and exit 2 when stdout is a closed pipe."""
+    """``run()``, the ``spw`` process: ``main()``'s exit code and output, the
+    collector off until the atexit handlers have run, ``os._exit`` with
+    ``main()``'s code, and exit 2 when stdout is a closed pipe."""
 
     GOLDEN = Path(__file__).parent / "data" / "golden"
-    PROBE = ("import gc, sys\n"
+    # Counts the collections run() lets happen, reports them with the
+    # collector's state from an atexit handler, and shows the code that
+    # os._exit gets, after which nothing of the process runs.
+    PROBE = ("import atexit, gc, os, sys\n"
              "from spwkit.cli import run\n"
-             "try:\n"
-             "    run()\n"
-             "except SystemExit as exc:\n"
-             "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+             "starts = []\n"
+             "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+             "atexit.register(lambda: print('atexit', len(starts), gc.isenabled(),\n"
+             "                              file=sys.stderr))\n"
+             "_exit = os._exit\n"
+             "def exit_probe(code):\n"
+             "    print('os._exit', code, file=sys.stderr)\n"
+             "    _exit(code)\n"
+             "os._exit = exit_probe\n"
+             "run()\n")
+
+    def probe(self, *argv):
+        proc = run_python("-c", self.PROBE, *argv)
+        return proc.returncode, proc.stderr.decode("utf-8").splitlines()[-2:]
 
     @pytest.fixture()
     def dup_register(self, tmp_path):
@@ -912,11 +926,10 @@ class TestRun:
         assert b"unrecognized arguments: --bogus" in proc.stderr
 
     @pytest.mark.parametrize("register, code", [("bundled", 0), ("dup", 2)])
-    def test_freezes_the_collector_and_exits_with_mains_code(
+    def test_runs_exit_handlers_then_exits_with_mains_code(
             self, register_path, dup_register, register, code):
         path = register_path if register == "bundled" else dup_register
-        proc = run_python("-c", self.PROBE, "validate", str(path))
-        assert proc.stderr.decode("utf-8").splitlines()[-1] == f"{code} True"
+        assert self.probe("validate", str(path)) == (code, ["atexit 0 False", f"os._exit {code}"])
 
     def test_main_in_process_maps_a_failing_flush_to_exit_2(self, capsys, monkeypatch):
         class ClosedPipe(io.StringIO):
@@ -935,17 +948,7 @@ class TestRun:
     def test_runs_the_command_with_the_collector_off(self, scenario_s2_path):
         # The scenario subcommand imports spwkit.scenario, loads a register
         # and samples: enough allocations for the collector, were it on.
-        probe = ("import gc, sys\n"
-                 "from spwkit.cli import run\n"
-                 "runs = []\n"
-                 "gc.callbacks.append(lambda phase, info: runs.append(phase))\n"
-                 "try:\n"
-                 "    run()\n"
-                 "except SystemExit as exc:\n"
-                 "    print(exc.code, len(runs), gc.isenabled(), gc.get_freeze_count() > 0,\n"
-                 "          file=sys.stderr)\n")
-        proc = run_python("-c", probe, "scenario", str(scenario_s2_path))
-        assert proc.stderr.decode("utf-8").splitlines()[-1] == "0 0 False True"
+        assert self.probe("scenario", str(scenario_s2_path)) == (0, ["atexit 0 False", "os._exit 0"])
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_main_in_process_leaves_the_collector_as_found(
@@ -1002,3 +1005,25 @@ class TestRun:
                                     env=_child_env(), preexec_fn=close, timeout=60)
                      for close in (None, lambda: os.close(1))]
             assert [(p.returncode, p.stderr) for p in procs] == [(0, procs[0].stderr)] * 2, argv
+
+    def test_closed_stderr_fd_is_not_an_error(self, register_path, dup_register):
+        # With fd 2 closed at start-up sys.stderr is None: warnings and the
+        # error line are dropped; the exit code and stdout are unchanged.
+        data = register_path.parent
+        for argv, code in ((["score", "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:N/I:N/A:N"], 0),
+                           (["classify", str(register_path)], 0), (["stats", str(register_path)], 0),
+                           (["scenario", str(data / "scenario_s2.json")], 0), (["checklist"], 0),
+                           (["validate", str(dup_register)], 2)):
+            procs = [subprocess.run([sys.executable, "-m", "spwkit.cli", *argv],
+                                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                                    env=_child_env(), preexec_fn=close, timeout=60)
+                     for close in (None, lambda: os.close(2))]
+            assert [(p.returncode, p.stdout) for p in procs] == [(code, procs[0].stdout)] * 2, argv
+
+    def test_warning_promoted_to_error_is_an_input_fault(self, register_path):
+        # SpwkitWarning is a UserWarning: Python rejects the filter
+        # error::spwkit.errors.SpwkitWarning at start-up.
+        proc = run_python("-W", "error::UserWarning", "-m", "spwkit.cli",
+                          "classify", str(register_path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, b"", b"error: entry G9 tagged only 'other'; defaulting to low tier\n")
