@@ -8,13 +8,14 @@ Register files are UTF-8 CSV (RFC 4180 quoting) with this exact header::
 A leading byte order mark and blank lines are skipped, and lines starting with
 ``#`` before the header are comments. Quoted cells may hold any line break;
 saved registers end rows with CRLF. Files are read line by line: loading needs
-memory for the entries, not the text. Entries are built through their slots;
-the collector is left as the caller set it. Multi-valued cells (stride,
-attack_techniques, mission_functions) join tokens with ``;``; subsystem, stride
-and mission tokens are trimmed and matched in any case. A row may carry a
-vector, a declared score, or both; a vector alone gives the row its base score,
-and a vector and a score must agree. A bad cell raises a ``RegisterError``
-reading ``row <id>: ...`` with ``row_id`` and ``column``.
+memory for the entries, not the text. Rows with equal free text share its five
+strings; after a load the memo holds at most 1024 rows' text. Entries are built
+through their slots; the collector is left as the caller set it. Multi-valued
+cells (stride, attack_techniques, mission_functions) join tokens with ``;``;
+subsystem, stride and mission tokens are trimmed and matched in any case. A row
+may carry a vector, a declared score, or both; a vector alone gives the row its
+base score, and a vector and a score must agree. A bad cell raises a
+``RegisterError`` reading ``row <id>: ...`` with ``row_id`` and ``column``.
 """
 
 from __future__ import annotations
@@ -114,7 +115,9 @@ def _split_multi(cell: str) -> list[str]:
 # Each column's function checks its cell and raises an error naming the column;
 # ``_parse_row`` adds the row. The memoised ones run once per distinct cell text,
 # so rows with equal cells share one value; a cell that raises is not cached.
+# ``_texts`` does so for a row's five free-text cells at once and keeps at most 1024 rows' text.
 _memo = lru_cache(maxsize=1024)
+_texts = _memo(lambda *cells: cells)
 _entry = cvss._through_slots(VulnerabilityEntry)  # half the cost of its __init__
 
 
@@ -210,6 +213,8 @@ def _parse_row(cells: list[str], row: int) -> VulnerabilityEntry:
     except RegisterError as exc:
         raise type(exc)(f"row {row_id}: {exc}", row_id=row_id,
                         column=exc.column) from exc.__cause__
+    title, description, preconditions, impact, mitigations = _texts(
+        title, description, preconditions, impact, mitigations)
     return _entry(row_id, title, subsystem, stride, techniques, vector, score,
                   missions, description, preconditions, impact, mitigations)
 

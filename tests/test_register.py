@@ -179,6 +179,34 @@ class TestLoading:
         assert len(register) == 5000
         assert peak - before < 1.5 * (kept - before)
 
+    def test_rows_with_equal_free_text_share_its_strings(self):
+        text = dict(title="A shared finding", description="A shared description",
+                    preconditions="Shared preconditions", impact="A shared impact",
+                    mitigations="Shared mitigations")
+        first, second, third = loads(make_csv(
+            row(id="A1", **text), row(id="A2", **{**text, "title": " A shared finding "}),
+            row(id="A3", **{**text, "description": "Its own description"})))
+        for name in text:
+            assert getattr(second, name) is getattr(first, name), name
+        assert third == dataclasses.replace(first, id="A3", description="Its own description")
+
+    def test_rows_that_repeat_free_text_keep_it_once(self, tmp_path):
+        """Renumbered copies of the bundled rows keep each row's text once, so
+        the loaded register holds well under the 794 B per row of unique text."""
+        path = tmp_path / "register.csv"
+        save_register(Register(entries=[
+            dataclasses.replace(BUNDLED.entries[i % len(BUNDLED)], id=f"V{i}")
+            for i in range(5000)]), path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            register = load_register(path)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(register) == 5000
+        assert kept / 5000 < 500
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(RegisterError):
             load_register(tmp_path / "nope.csv")
